@@ -11,9 +11,9 @@ from .metrics.pcqm import (build_correspondence, compute_pcqm_features,
                            pcqm_aggregate)
 from .metrics.pointssim import pointssim_score
 from .metrics.psnr import compute_d1, compute_d2, compute_yuv
-from .pipeline import (FEATURE_COLUMNS, FeatureTable, compute_pair_metrics,
-                       extract_features, load_manifest, read_features_csv,
-                       write_features_csv)
+from .pipeline import (FEATURE_COLUMNS, FeatureTable, ReferenceContext,
+                       compute_pair_metrics, extract_features, load_manifest,
+                       read_features_csv, write_features_csv)
 from .regression import (MODEL_REGISTRY, FusionModel, MinMaxScaler, RbfSvr,
                          RidgeRegression, group_kfold, make_model, rfe_rank)
 from .spatial import (Neighborhood, SpatialIndex, build_index, knn_query,
@@ -30,7 +30,8 @@ __all__ = [
     "pointssim_score",
     "build_correspondence", "compute_pcqm_features", "pcqm_aggregate",
     "graphsim_score", "msgraphsim_score",
-    "FEATURE_COLUMNS", "FeatureTable", "compute_pair_metrics",
+    "FEATURE_COLUMNS", "FeatureTable", "ReferenceContext",
+    "compute_pair_metrics",
     "extract_features", "load_manifest", "read_features_csv",
     "write_features_csv",
     "MinMaxScaler", "RidgeRegression", "RbfSvr", "rfe_rank", "group_kfold",

@@ -166,9 +166,10 @@ def _check_model_name(name):
 
 def _cmd_train(args):
     _check_model_name(args.model)
+    seed = _config_from(args).pipeline_seed
     table = read_features_csv(args.features)
     model = make_model(args.model)
-    model.fit_table(table, metadata={"seed": args.seed or 0})
+    model.fit_table(table, metadata={"seed": seed})
     model.save(args.out)
     print(f"trained {model.name} on {len(table)} rows -> {args.out}",
           file=sys.stderr)
@@ -176,14 +177,15 @@ def _cmd_train(args):
 
 
 def _cmd_rfe(args):
+    seed = _config_from(args).pipeline_seed
     table = read_features_csv(args.features)
     ranking = rfe_rank(table.values, table.mos(), estimator=args.estimator,
-                       step=args.step, seed=args.seed or 0,
+                       step=args.step, seed=seed,
                        names=list(table.feature_names))
     payload = {
         "estimator": args.estimator,
         "step": args.step,
-        "seed": args.seed or 0,
+        "seed": seed,
         "order": ranking.names,
         "config_hash": table.config_hash,
     }
@@ -232,9 +234,10 @@ def _cmd_evaluate(args):
 
 def _cmd_crossval(args):
     _check_model_name(args.model)
+    seed = _config_from(args).pipeline_seed
     table = read_features_csv(args.features)
     model_name = MODEL_ALIASES.get(args.model, args.model)
-    folds = group_kfold(table.groups(), args.folds, seed=args.seed or 0)
+    folds = group_kfold(table.groups(), args.folds, seed=seed)
     mos = table.mos()
     predicted = np.full(len(table), np.nan)
     for train_idx, test_idx in folds:
@@ -245,7 +248,7 @@ def _cmd_crossval(args):
     report = evaluate([(model_name, predicted)], mos, table.mos_std())
     payload = report.as_dict()
     payload["folds"] = args.folds
-    payload["seed"] = args.seed or 0
+    payload["seed"] = seed
     _emit(payload, args.out)
     sys.stderr.write(report.table())   # keep stdout valid JSON
     return 0

@@ -112,13 +112,3 @@ def bounding_box(cloud: PointCloud) -> BoundingBox:
     pos = cloud.positions
     return BoundingBox(pos.min(axis=0), pos.max(axis=0))
 
-
-def validate_voxelized(cloud: PointCloud) -> None:
-    """Check coordinates fit the declared voxel grid [0, 2**bit_depth - 1]."""
-    if cloud.bit_depth is None:
-        raise InvalidCloud("cloud has no declared bit depth")
-    top = 2 ** cloud.bit_depth - 1
-    pos = cloud.positions
-    if pos.min() < 0.0 or pos.max() > top:
-        raise InvalidCloud(
-            f"coordinates exceed the {cloud.bit_depth}-bit grid [0, {top}]")

@@ -39,10 +39,6 @@ class EmptyCloud(InvalidCloud):
     """Operation requires at least one point."""
 
 
-class DegenerateNeighborhood(PcqkitError):
-    """Neighborhood has no usable surface structure (e.g. collinear)."""
-
-
 # ---------------------------------------------------------------------------
 # color
 

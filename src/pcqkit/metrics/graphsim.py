@@ -18,7 +18,7 @@ import numpy as np
 
 from ..cloud import PointCloud, bounding_box
 from ..colorspace import rgb_to_gaussian
-from ..errors import AllKeypointsEmpty
+from ..errors import AllKeypointsEmpty, SettingsMismatch
 from ..spatial import SpatialIndex, build_index
 
 SIM_KINDS = ("mg", "ug", "cg")
@@ -49,14 +49,21 @@ class GradientFeatures:
 
 
 def graph_filter_response(cloud: PointCloud, k_graph: int = 10,
-                          index: SpatialIndex = None) -> np.ndarray:
-    """High-pass response: distance to the mean of the k nearest others."""
-    index = index or build_index(cloud)
+                          index: SpatialIndex = None,
+                          knn=None) -> np.ndarray:
+    """High-pass response: distance to the mean of the k nearest others.
+
+    knn: a self query of the cloud with k_graph + 1 or more columns,
+    reused instead of a new query.
+    """
     n = len(cloud)
     k = min(k_graph, n - 1)
     if k < 1:
         return np.zeros(n)
-    idx, _ = index.knn_batch(cloud.positions, k + 1)
+    if knn is None:
+        index = index or build_index(cloud)
+        knn = index.knn_batch(cloud.positions, k + 1)
+    idx = knn[0][:, :k + 1]
     self_col = np.where((idx == np.arange(n)[:, None]).any(axis=1),
                         (idx == np.arange(n)[:, None]).argmax(axis=1), 0)
     keep = np.arange(k + 1)[None, :] != self_col[:, None]
@@ -67,11 +74,12 @@ def graph_filter_response(cloud: PointCloud, k_graph: int = 10,
 
 def extract_keypoints(cloud: PointCloud, fraction: float = 0.1,
                       k_graph: int = 10,
-                      index: SpatialIndex = None) -> KeypointSet:
+                      index: SpatialIndex = None,
+                      knn=None) -> KeypointSet:
     """Top ceil(fraction * n) points by response, ties by ascending index."""
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    responses = graph_filter_response(cloud, k_graph, index)
+    responses = graph_filter_response(cloud, k_graph, index, knn)
     n = len(responses)
     order = np.lexsort((np.arange(n), -responses))
     count = int(math.ceil(fraction * n))
@@ -137,21 +145,6 @@ def _graph_features(positions, signals, center_pos, smoothing=True,
     return GradientFeatures(m_g, mu_g, var_g, g)
 
 
-def local_graph_features(cloud: PointCloud, center, radius: float,
-                         smoothing: bool = True, sigma: float = None,
-                         index: SpatialIndex = None,
-                         signals: np.ndarray = None) -> GradientFeatures:
-    """Gradient features of the radius graph around an arbitrary center."""
-    index = index or build_index(cloud)
-    if signals is None:
-        signals = rgb_to_gaussian(cloud.require_colors("graph features"))
-    center = np.asarray(center, dtype=np.float64)
-    (idx, _), = index.radius_batch(center, float(radius),
-                                   sort_by_distance=True)
-    return _graph_features(cloud.positions[idx], signals[idx], center,
-                           smoothing, sigma)
-
-
 def graph_pair_sims(feat_ref: GradientFeatures, feat_dist: GradientFeatures,
                     t=DEFAULT_T) -> np.ndarray:
     """SIM_mg, SIM_ug, SIM_cg per channel, shape (3, c).
@@ -198,6 +191,65 @@ class GraphSimScore:
                                SIM_KINDS.index(kind)])
 
 
+@dataclass(frozen=True)
+class GraphSimReference:
+    """Reference-side MS-GraphSIM state, reusable across distortions."""
+
+    radius: float           # graph radius
+    keypoints: KeypointSet
+    members: list           # ref point indices within radius, per keypoint
+    centers: np.ndarray     # (n_scales, n_kp, 3) graph center per scale
+    centroid: np.ndarray    # bounding-box centroid of the reference
+    features: list          # features[i][s]: GradientFeatures of keypoint
+                            # i at scale s
+    scales: tuple
+    smoothing: bool
+
+
+def graphsim_reference(ref: PointCloud, scales=(0, 1, 2),
+                       keypoint_fraction: float = 0.1, k_graph: int = 10,
+                       radius: float = None, radius_factor: float = 2.0,
+                       smoothing: bool = True, color_matrix=None,
+                       ref_index: SpatialIndex = None,
+                       knn=None) -> GraphSimReference:
+    """Keypoints, graph radius and reference graph features at each scale.
+
+    The graph radius defaults to radius_factor times the mean NN
+    distance of the reference. knn: a self query of the reference with
+    max(2, k_graph + 1) or more columns, reused for that distance and
+    for the keypoint response.
+    """
+    scales = tuple(int(s) for s in scales)
+    ref_index = ref_index or build_index(ref)
+    if radius is None:
+        radius = radius_factor * ref_index.mean_nn_distance(knn)
+    if radius <= 0.0:
+        raise ValueError("graph radius must be positive")
+
+    signals = rgb_to_gaussian(ref.require_colors("MS-GraphSIM"),
+                              color_matrix)
+    keypoints = extract_keypoints(ref, keypoint_fraction, k_graph,
+                                  ref_index, knn)
+    kp_pos = ref.positions[keypoints.indices]
+    centroid = bounding_box(ref).centroid
+    centers = np.stack([kp_pos if s == 0
+                        else centroid + (kp_pos - centroid) / 2 ** s
+                        for s in scales])
+    members = [idx for idx, _ in
+               ref_index.radius_batch(kp_pos, radius, sort_by_distance=True)]
+    features = []
+    for i, idx in enumerate(members):
+        pos_all = ref.positions[idx]
+        row = []
+        for si, scale in enumerate(scales):
+            kept, pos = scale_transform(pos_all, scale, centroid)
+            row.append(_graph_features(pos, signals[idx[kept]],
+                                       centers[si, i], smoothing))
+        features.append(row)
+    return GraphSimReference(float(radius), keypoints, members, centers,
+                             centroid, features, scales, bool(smoothing))
+
+
 def msgraphsim_score(ref: PointCloud, dist: PointCloud,
                      scales=(0, 1, 2), scale_weights=None,
                      keypoint_fraction: float = 0.1, k_graph: int = 10,
@@ -206,13 +258,15 @@ def msgraphsim_score(ref: PointCloud, dist: PointCloud,
                      channel_weights=DEFAULT_CHANNEL_WEIGHTS,
                      color_matrix=None,
                      ref_index: SpatialIndex = None,
-                     dist_index: SpatialIndex = None) -> GraphSimScore:
+                     dist_index: SpatialIndex = None,
+                     reference: GraphSimReference = None) -> GraphSimScore:
     """Multi-scale graph similarity of dist against ref.
 
     The graph radius defaults to radius_factor times the mean NN distance
     of the reference. Keypoints with an empty dist-side graph at some
     scale are scored against a zero-feature graph (holes must hurt the
-    score, not vanish from it).
+    score, not vanish from it). reference: graphsim_reference() of ref
+    under the same settings; it supplies the keypoints and the radius.
     """
     scales = tuple(int(s) for s in scales)
     weights = (np.full(len(scales), 1.0 / len(scales))
@@ -222,52 +276,42 @@ def msgraphsim_score(ref: PointCloud, dist: PointCloud,
         raise ValueError("scale_weights must match scales")
     cw = np.asarray(channel_weights, dtype=np.float64)
 
-    ref_index = ref_index or build_index(ref)
+    if reference is None:
+        reference = graphsim_reference(
+            ref, scales, keypoint_fraction, k_graph, radius, radius_factor,
+            smoothing, color_matrix, ref_index)
+    elif (reference.scales, reference.smoothing) != (scales, bool(smoothing)):
+        raise SettingsMismatch(
+            "GraphSIM reference was built for other scales or smoothing")
     dist_index = dist_index or build_index(dist)
-    if radius is None:
-        radius = radius_factor * ref_index.mean_nn_distance()
-    if radius <= 0.0:
-        raise ValueError("graph radius must be positive")
-
-    sig_ref = rgb_to_gaussian(ref.require_colors("MS-GraphSIM"),
-                              color_matrix)
     sig_dist = rgb_to_gaussian(dist.require_colors("MS-GraphSIM"),
                                color_matrix)
-    keypoints = extract_keypoints(ref, keypoint_fraction, k_graph, ref_index)
-    kp_pos = ref.positions[keypoints.indices]
-    centroid = bounding_box(ref).centroid
+    dist_lists = dist_index.radius_batch(
+        ref.positions[reference.keypoints.indices], reference.radius,
+        sort_by_distance=True)
 
-    ref_lists = ref_index.radius_batch(kp_pos, radius, sort_by_distance=True)
-    dist_lists = dist_index.radius_batch(kp_pos, radius,
-                                         sort_by_distance=True)
-
-    n_kp = len(keypoints.indices)
+    n_kp = len(reference.keypoints.indices)
     sims = np.zeros((n_kp, len(scales), 3, 3))      # kp, scale, kind, channel
     used = np.zeros(n_kp, dtype=bool)
     empty_dist = 0
     for i in range(n_kp):
-        r_idx, _ = ref_lists[i]
         d_idx, _ = dist_lists[i]
-        if len(r_idx) == 0 and len(d_idx) == 0:
+        if len(reference.members[i]) == 0 and len(d_idx) == 0:
             continue
         used[i] = True
-        r_pos_all, d_pos_all = ref.positions[r_idx], dist.positions[d_idx]
+        d_pos_all = dist.positions[d_idx]
         for si, scale in enumerate(scales):
-            step = 2 ** scale
-            center = (kp_pos[i] if step == 1
-                      else centroid + (kp_pos[i] - centroid) / step)
-            kept_r, pos_r = scale_transform(r_pos_all, scale, centroid)
-            feat_r = _graph_features(pos_r, sig_ref[r_idx[kept_r]], center,
-                                     smoothing)
             if len(d_idx) == 0:
                 feat_d = GradientFeatures.empty(3)
                 if si == 0:
                     empty_dist += 1
             else:
-                kept_d, pos_d = scale_transform(d_pos_all, scale, centroid)
+                kept_d, pos_d = scale_transform(d_pos_all, scale,
+                                                reference.centroid)
                 feat_d = _graph_features(pos_d, sig_dist[d_idx[kept_d]],
-                                         center, smoothing)
-            sims[i, si] = graph_pair_sims(feat_r, feat_d, t)
+                                         reference.centers[si, i], smoothing)
+            sims[i, si] = graph_pair_sims(reference.features[i][si], feat_d,
+                                          t)
 
     if not used.any():
         raise AllKeypointsEmpty("no keypoint produced a non-empty graph")
@@ -276,7 +320,7 @@ def msgraphsim_score(ref: PointCloud, dist: PointCloud,
         # at this radius and a score would only measure the constant T
         raise AllKeypointsEmpty(
             f"all {n_kp} keypoints have an empty dist-side graph at "
-            f"radius {radius:g}")
+            f"radius {reference.radius:g}")
     sims = sims[used]
 
     # per-kind features: channel-pooled SIMs averaged over keypoints

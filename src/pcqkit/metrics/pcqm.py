@@ -56,21 +56,28 @@ class Correspondence:
 
 def build_correspondence(ref: PointCloud, dist: PointCloud, h: float,
                          table: Optional[Lab2000HLTable] = None,
-                         dist_index: SpatialIndex = None) -> Correspondence:
+                         dist_index: SpatialIndex = None,
+                         neighbors=None, nearest=None) -> Correspondence:
     """Sample the dist surface at every ref point.
 
     Curvature comes from a quadric fitted to the dist points within h of
     each ref point; color comes from the exact nearest dist point. With
-    dist = ref this reproduces the reference's own fields.
+    dist = ref this reproduces the reference's own fields. Queries
+    already made may be passed: neighbors, the radius-h query of the ref
+    points in dist (a radius_batch result), and nearest, the index of
+    the nearest dist point of every ref point.
     """
     colors = dist.require_colors("PCQM correspondence")
-    dist_index = dist_index or build_index(dist)
-    lists = [idx for idx, _ in
-             dist_index.radius_batch(ref.positions, float(h))]
-    fit = fit_local_surfaces(dist.positions, lists, ref.positions)
+    if neighbors is None or nearest is None:
+        dist_index = dist_index or build_index(dist)
+    if neighbors is None:
+        neighbors = dist_index.radius_batch(ref.positions, float(h))
+    fit = fit_local_surfaces(dist.positions, [idx for idx, _ in neighbors],
+                             ref.positions)
 
-    nn, _ = dist_index.nearest_batch(ref.positions)
-    lab = rgb_to_perceptual(colors[nn], table)
+    if nearest is None:
+        nearest, _ = dist_index.nearest_batch(ref.positions)
+    lab = rgb_to_perceptual(colors[nearest], table)
     a, b = lab[:, 1], lab[:, 2]
     return Correspondence(
         positions=ref.positions,
@@ -128,8 +135,13 @@ class _Segments:
 def compute_pcqm_features(corr_ref: Correspondence,
                           corr_dist: Correspondence,
                           constants: dict = None,
-                          ref_index: SpatialIndex = None) -> PcqmFeatures:
-    """Pooled f1..f8 from two correspondences built with the same h."""
+                          ref_index: SpatialIndex = None,
+                          neighbors=None) -> PcqmFeatures:
+    """Pooled f1..f8 from two correspondences built with the same h.
+
+    neighbors: the radius-h self query of the reference points (a
+    radius_batch result), when already made.
+    """
     if corr_ref.radius != corr_dist.radius:
         raise SettingsMismatch(
             f"correspondence radii differ: {corr_ref.radius} vs "
@@ -144,9 +156,10 @@ def compute_pcqm_features(corr_ref: Correspondence,
     if constants:
         k.update(constants)
     h = corr_ref.radius
-    index = ref_index or build_index(corr_ref.positions)
-    pairs = index.radius_batch(corr_ref.positions, h)
-    seg = _Segments([p[0] for p in pairs], [p[1] for p in pairs],
+    if neighbors is None:
+        index = ref_index or build_index(corr_ref.positions)
+        neighbors = index.radius_batch(corr_ref.positions, h)
+    seg = _Segments([p[0] for p in neighbors], [p[1] for p in neighbors],
                     sigma=h / 3.0)
 
     mu_rho_r = seg.mean(corr_ref.curvature)

@@ -77,11 +77,14 @@ class DispersionField:
 
 def extract_dispersion(cloud: PointCloud, attribute: str = "luminance",
                        estimator: str = "variance", k: int = 12,
-                       index: SpatialIndex = None) -> DispersionField:
+                       index: SpatialIndex = None,
+                       knn=None) -> DispersionField:
     """Dispersion of an attribute over each point's k-NN neighborhood.
 
     The neighborhood includes the point itself; k larger than the cloud
-    saturates to the whole cloud.
+    saturates to the whole cloud. knn: (indices, distances) of a self
+    query of the cloud with k or more columns, reused instead of a new
+    query; its first k columns equal a k-query.
     """
     if attribute not in _ATTRIBUTES:
         raise ValueError(f"unknown attribute {attribute!r}")
@@ -89,8 +92,10 @@ def extract_dispersion(cloud: PointCloud, attribute: str = "luminance",
         fn = ESTIMATORS[estimator]
     except KeyError:
         raise ValueError(f"unknown estimator {estimator!r}") from None
-    index = index or build_index(cloud)
-    idx, dst = index.knn_batch(cloud.positions, k)
+    if knn is None:
+        index = index or build_index(cloud)
+        knn = index.knn_batch(cloud.positions, k)
+    idx, dst = (np.ascontiguousarray(a[:, :k]) for a in knn)
     if attribute == "geometry":
         rows = dst
     else:
@@ -105,11 +110,13 @@ def pointssim_score(ref: PointCloud, dist: PointCloud,
                     ref_field: DispersionField = None,
                     dist_field: DispersionField = None,
                     ref_index: SpatialIndex = None,
-                    dist_index: SpatialIndex = None) -> float:
+                    dist_index: SpatialIndex = None,
+                    nearest=None) -> float:
     """Pooled dissimilarity of dist against ref for one attribute.
 
     Precomputed fields may be passed to reuse work across attributes;
-    they must have been extracted under identical settings.
+    they must have been extracted under identical settings. nearest:
+    the index of the nearest ref point of every dist point.
     """
     ref_index = ref_index or build_index(ref)
     if ref_field is None:
@@ -126,8 +133,9 @@ def pointssim_score(ref: PointCloud, dist: PointCloud,
     if len(dist_field.values) != len(dist):
         raise SettingsMismatch("dist field does not match the dist cloud")
 
-    nn, _ = ref_index.nearest_batch(dist.positions)
-    fx = ref_field.values[nn]
+    if nearest is None:
+        nearest, _ = ref_index.nearest_batch(dist.positions)
+    fx = ref_field.values[nearest]
     fy = dist_field.values
     s = np.abs(fx - fy) / (np.maximum(np.abs(fx), np.abs(fy)) + EPS)
     return float(np.mean(s ** pooling_exponent))

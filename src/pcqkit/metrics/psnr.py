@@ -19,8 +19,8 @@ from ..errors import MissingNormalsUnrecoverable
 from ..spatial import SpatialIndex, build_index
 from ..surface import estimate_normals
 
-__all__ = ["PsnrResult", "YuvResult", "compute_d1", "compute_d2",
-           "compute_yuv"]
+__all__ = ["PsnrResult", "YuvResult", "nearest_matches", "ensure_normals",
+           "compute_d1", "compute_d2", "compute_yuv"]
 
 
 @dataclass(frozen=True)
@@ -50,39 +50,53 @@ def _psnr_db(mse: float, peak: float, k: float) -> float:
     return 10.0 * math.log10(k * peak * peak / mse)
 
 
-def _indices(ref, dist, ref_index, dist_index):
+def nearest_matches(ref: PointCloud, dist: PointCloud,
+                    ref_index: SpatialIndex = None,
+                    dist_index: SpatialIndex = None):
+    """Nearest-neighbor matches of a pair in both directions.
+
+    Returns ((idx_f, d_f), (idx_b, d_b)): the nearest ref point of every
+    dist point, then the nearest dist point of every ref point. Every
+    metric that compares a pair point by point reads these two queries.
+    """
     ref_index = ref_index or build_index(ref)
     dist_index = dist_index or build_index(dist)
-    return ref_index, dist_index
+    return (ref_index.nearest_batch(dist.positions),
+            dist_index.nearest_batch(ref.positions))
 
 
 def compute_d1(ref: PointCloud, dist: PointCloud, peak=None,
                ref_index: SpatialIndex = None,
-               dist_index: SpatialIndex = None) -> PsnrResult:
-    """Point-to-point geometry PSNR (squared Euclidean NN error)."""
+               dist_index: SpatialIndex = None,
+               matches=None) -> PsnrResult:
+    """Point-to-point geometry PSNR (squared Euclidean NN error).
+
+    matches: nearest_matches(ref, dist) when already computed.
+    """
     peak = float(peak if peak is not None else ref.geometry_peak())
-    ref_index, dist_index = _indices(ref, dist, ref_index, dist_index)
-    _, d_fwd = ref_index.nearest_batch(dist.positions)
-    _, d_bwd = dist_index.nearest_batch(ref.positions)
+    if matches is None:
+        matches = nearest_matches(ref, dist, ref_index, dist_index)
+    (_, d_fwd), (_, d_bwd) = matches
     mse_f = float(np.mean(d_fwd * d_fwd))
     mse_b = float(np.mean(d_bwd * d_bwd))
     mse = max(mse_f, mse_b)
     return PsnrResult(mse_f, mse_b, mse, _psnr_db(mse, peak, 3.0), peak)
 
 
-def _normals_or_estimate(cloud: PointCloud, radius: float) -> PointCloud:
+def ensure_normals(cloud: PointCloud, radius: float,
+                   index: SpatialIndex = None) -> PointCloud:
+    """The cloud itself if it has normals, else with estimated ones."""
     if cloud.has_normals:
         return cloud
     if len(cloud) < 3:
         raise MissingNormalsUnrecoverable(
             f"cloud of {len(cloud)} points has no normals and is too small "
             "to estimate them")
-    return estimate_normals(cloud, radius)
+    return estimate_normals(cloud, radius, index=index)
 
 
-def _projected_mse(src_cloud, tgt_cloud, tgt_index):
+def _projected_mse(src_cloud, tgt_cloud, idx):
     """Mean squared NN error projected on the target-side normals."""
-    idx, _ = tgt_index.nearest_batch(src_cloud.positions)
     err = src_cloud.positions - tgt_cloud.positions[idx]
     proj = np.einsum("ij,ij->i", err, tgt_cloud.normals[idx])
     return float(np.mean(proj * proj))
@@ -91,7 +105,8 @@ def _projected_mse(src_cloud, tgt_cloud, tgt_index):
 def compute_d2(ref: PointCloud, dist: PointCloud, peak=None,
                normal_radius: float = 20.0,
                ref_index: SpatialIndex = None,
-               dist_index: SpatialIndex = None) -> PsnrResult:
+               dist_index: SpatialIndex = None,
+               matches=None) -> PsnrResult:
     """Point-to-plane geometry PSNR.
 
     Each NN error vector is projected onto the normal of the matched
@@ -100,11 +115,13 @@ def compute_d2(ref: PointCloud, dist: PointCloud, peak=None,
     that lacks them.
     """
     peak = float(peak if peak is not None else ref.geometry_peak())
-    ref_index, dist_index = _indices(ref, dist, ref_index, dist_index)
-    ref = _normals_or_estimate(ref, normal_radius)
-    dist = _normals_or_estimate(dist, normal_radius)
-    mse_f = _projected_mse(dist, ref, ref_index)
-    mse_b = _projected_mse(ref, dist, dist_index)
+    ref = ensure_normals(ref, normal_radius, ref_index)
+    dist = ensure_normals(dist, normal_radius, dist_index)
+    if matches is None:
+        matches = nearest_matches(ref, dist, ref_index, dist_index)
+    (idx_f, _), (idx_b, _) = matches
+    mse_f = _projected_mse(dist, ref, idx_f)
+    mse_b = _projected_mse(ref, dist, idx_b)
     mse = max(mse_f, mse_b)
     return PsnrResult(mse_f, mse_b, mse, _psnr_db(mse, peak, 3.0), peak)
 
@@ -112,19 +129,22 @@ def compute_d2(ref: PointCloud, dist: PointCloud, peak=None,
 def compute_yuv(ref: PointCloud, dist: PointCloud, matrix: str = "bt709",
                 cap_db: float = 100.0, symmetric: str = "mse",
                 ref_index: SpatialIndex = None,
-                dist_index: SpatialIndex = None) -> YuvResult:
+                dist_index: SpatialIndex = None,
+                matches=None, ycc_ref=None) -> YuvResult:
     """Per-channel YCbCr PSNR over NN correspondences, peak 255.
 
     symmetric="mse" keeps the larger per-channel MSE of the two passes
     (the conservative reading); "psnr" keeps the larger PSNR instead.
     The combined value weighs channels 6:1:1 after replacing infinities
-    with cap_db.
+    with cap_db. ycc_ref: the reference colors already converted with
+    the same matrix.
     """
-    ycc_ref = rgb_to_ycbcr(ref.require_colors("YUV PSNR"), matrix)
+    if ycc_ref is None:
+        ycc_ref = rgb_to_ycbcr(ref.require_colors("YUV PSNR"), matrix)
     ycc_dist = rgb_to_ycbcr(dist.require_colors("YUV PSNR"), matrix)
-    ref_index, dist_index = _indices(ref, dist, ref_index, dist_index)
-    idx_f, _ = ref_index.nearest_batch(dist.positions)
-    idx_b, _ = dist_index.nearest_batch(ref.positions)
+    if matches is None:
+        matches = nearest_matches(ref, dist, ref_index, dist_index)
+    (idx_f, _), (idx_b, _) = matches
     diff_f = ycc_dist - ycc_ref[idx_f]
     diff_b = ycc_ref - ycc_dist[idx_b]
     mse_f = np.mean(diff_f * diff_f, axis=0)

@@ -11,6 +11,7 @@ either invalidate stale entries. Feature and score tables round-trip
 through CSV with shortest-repr floats, which keeps reruns bit-identical.
 """
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -23,22 +24,26 @@ from typing import Optional
 import numpy as np
 
 from .cloud import PointCloud, bounding_box
-from .colorspace import Lab2000HLTable
+from .colorspace import Lab2000HLTable, rgb_to_ycbcr
 from .config import Config
-from .errors import (BadMosValue, ConfigMismatch, JoinMismatch, MissingColumn,
-                     SchemaMismatch)
+from .errors import (BadMosValue, ConfigMismatch, IoFailure, JoinMismatch,
+                     MissingColumn, PcqkitError, SchemaMismatch,
+                     SettingsMismatch)
 from .io_ply import load_ply
-from .metrics.graphsim import msgraphsim_score
-from .metrics.pcqm import (build_correspondence, compute_pcqm_features,
-                           pcqm_aggregate)
+from .metrics.graphsim import (GraphSimReference, graphsim_reference,
+                               msgraphsim_score)
+from .metrics.pcqm import (Correspondence, build_correspondence,
+                           compute_pcqm_features, pcqm_aggregate)
 from .metrics.pointssim import extract_dispersion, pointssim_score
-from .metrics.psnr import compute_d1, compute_d2, compute_yuv
-from .spatial import build_index
+from .metrics.psnr import (compute_d1, compute_d2, compute_yuv,
+                           ensure_normals, nearest_matches)
+from .spatial import SpatialIndex, build_index
 
 __all__ = ["FEATURE_COLUMNS", "ManifestRow", "load_manifest",
-           "compute_pair_metrics", "feature_vector", "FeatureTable",
-           "extract_features", "write_features_csv", "read_features_csv",
-           "write_scores_csv", "read_scores_csv", "join_scores"]
+           "ReferenceContext", "compute_pair_metrics", "feature_vector",
+           "FeatureTable", "extract_features", "write_features_csv",
+           "read_features_csv", "write_scores_csv", "read_scores_csv",
+           "join_scores"]
 
 _SCHEMA = 1
 
@@ -67,6 +72,7 @@ class ManifestRow:
     rate: str = ""
     ref_file: str = ""       # resolved relative to the manifest location
     dist_file: str = ""
+    line: int = 0            # line in the manifest file, 0 if unknown
 
 
 def _parse_float(raw: str, what: str, line: int) -> float:
@@ -110,7 +116,7 @@ def load_manifest(path: str):
                 codec=(record.get("codec") or "").strip(),
                 rate=(record.get("rate") or "").strip(),
                 ref_file=os.path.join(base, ref_path),
-                dist_file=os.path.join(base, dist_path)))
+                dist_file=os.path.join(base, dist_path), line=line))
     if not rows:
         raise MissingColumn(f"manifest {path!r} has no data rows")
     return rows
@@ -119,32 +125,114 @@ def load_manifest(path: str):
 # ---------------------------------------------------------------------------
 # per-pair computation
 
+@dataclass(frozen=True)
+class ReferenceContext:
+    """Every result of compute_pair_metrics that depends on the reference
+    alone, built once and reused for each of its distortions.
+
+    One self k-NN query (k = max(pointssim_k, graphsim_k + 1, 2)) feeds
+    every self-neighbor lookup: rows of knn_batch are sorted by
+    (distance, index), so its first j columns equal a j-query.
+    """
+
+    cloud: PointCloud        # the reference, at the configured bit depth
+    config_hash: str
+    index: SpatialIndex
+    with_normals: PointCloud  # given or estimated normals, for D2
+    ycc: np.ndarray          # YCbCr colors, for YUV PSNR
+    fields: dict             # attribute -> PointSSIM DispersionField
+    lab_table: Optional[Lab2000HLTable]
+    pcqm_neighbors: list     # radius-h self query
+    corr: Correspondence     # build_correspondence(ref, ref)
+    graphsim: GraphSimReference
+
+    @classmethod
+    def build(cls, ref: PointCloud, config: Config = None):
+        """The context of ref under config (default Config())."""
+        config = config or Config()
+        if config.graphsim_n_scales < 3:
+            raise ConfigMismatch(
+                "graphsim_n_scales must be at least 3 to fill the feature set")
+        if config.cloud_bit_depth is not None:
+            ref = replace(ref, bit_depth=config.cloud_bit_depth)
+        index = build_index(ref)
+        knn = index.knn_batch(
+            ref.positions, max(config.pointssim_k, config.graphsim_k + 1, 2))
+        with_normals = ensure_normals(ref, config.psnr_normal_radius, index)
+        ycc = rgb_to_ycbcr(ref.require_colors("YUV PSNR"),
+                           config.psnr_ycbcr_matrix)
+        fields = {attribute: extract_dispersion(
+                      ref, attribute, config.pointssim_estimator,
+                      config.pointssim_k, knn=knn)
+                  for attribute in ("luminance", "geometry")}
+        table = (Lab2000HLTable.load(config.pcqm_lab_table)
+                 if config.pcqm_lab_table else None)
+        h = config.pcqm_radius_factor * bounding_box(ref).diagonal
+        neighbors = index.radius_batch(ref.positions, h)
+        corr = build_correspondence(ref, ref, h, table, index,
+                                    neighbors=neighbors, nearest=knn[0][:, 0])
+        graphsim = graphsim_reference(
+            ref, scales=range(config.graphsim_n_scales),
+            keypoint_fraction=config.graphsim_keypoint_fraction,
+            k_graph=config.graphsim_k,
+            radius_factor=config.graphsim_radius_factor,
+            smoothing=config.graphsim_smoothing, ref_index=index, knn=knn)
+        return cls(ref, config.hash, index, with_normals, ycc, fields, table,
+                   neighbors, corr, graphsim)
+
+    def check(self, ref: PointCloud, config: Config):
+        """Raise SettingsMismatch unless built for this cloud and config."""
+        if config.hash != self.config_hash:
+            raise SettingsMismatch(
+                "reference context was built under another configuration")
+        bit_depth = (config.cloud_bit_depth
+                     if config.cloud_bit_depth is not None else ref.bit_depth)
+        mine = self.cloud
+        same = mine is ref or (
+            bit_depth == mine.bit_depth
+            and all(a is b or (a is not None and b is not None
+                               and np.array_equal(a, b))
+                    for a, b in ((ref.positions, mine.positions),
+                                 (ref.colors, mine.colors),
+                                 (ref.normals, mine.normals))))
+        if not same:
+            raise SettingsMismatch(
+                "reference context was built for another cloud")
+
+
 def compute_pair_metrics(ref: PointCloud, dist: PointCloud,
-                         config: Config = None) -> dict:
+                         config: Config = None,
+                         reference: ReferenceContext = None) -> dict:
     """Every metric for one pair, as a flat name -> float dict.
 
     PSNR entries are raw dB and may be +inf; feature_vector() applies
-    the configured cap. Spatial indices and color conversions are shared
-    across the metric family where the definitions allow it.
+    the configured cap. reference: ReferenceContext.build(ref, config),
+    to share the reference-side work across the distortions of one
+    reference; it is built here when not given. Each query on the
+    distorted cloud runs once and is shared across the metric families.
     """
     config = config or Config()
-    if config.graphsim_n_scales < 3:
-        raise ConfigMismatch(
-            "graphsim_n_scales must be at least 3 to fill the feature set")
+    if reference is None:
+        reference = ReferenceContext.build(ref, config)
+    else:
+        reference.check(ref, config)
+    ref = reference.cloud
     if config.cloud_bit_depth is not None:
-        ref = replace(ref, bit_depth=config.cloud_bit_depth)
         dist = replace(dist, bit_depth=config.cloud_bit_depth)
-    ref_index = build_index(ref)
+    ref_index = reference.index
     dist_index = build_index(dist)
+    matches = nearest_matches(ref, dist, ref_index, dist_index)
+    (nn_forward, _), (nn_backward, _) = matches
     out = {}
 
-    d1 = compute_d1(ref, dist, ref_index=ref_index, dist_index=dist_index)
-    d2 = compute_d2(ref, dist, normal_radius=config.psnr_normal_radius,
-                    ref_index=ref_index, dist_index=dist_index)
+    d1 = compute_d1(ref, dist, matches=matches)
+    d2 = compute_d2(reference.with_normals, dist,
+                    normal_radius=config.psnr_normal_radius,
+                    dist_index=dist_index, matches=matches)
     yuv = compute_yuv(ref, dist, matrix=config.psnr_ycbcr_matrix,
                       cap_db=config.psnr_cap_db,
                       symmetric=config.psnr_yuv_symmetric,
-                      ref_index=ref_index, dist_index=dist_index)
+                      matches=matches, ycc_ref=reference.ycc)
     out["psnr_d1"] = d1.psnr_db
     out["psnr_d2"] = d2.psnr_db
     out["psnr_y"] = yuv.y.psnr_db
@@ -154,20 +242,23 @@ def compute_pair_metrics(ref: PointCloud, dist: PointCloud,
 
     est, k, pexp = (config.pointssim_estimator, config.pointssim_k,
                     config.pointssim_pooling_exponent)
+    dist_knn = dist_index.knn_batch(dist.positions, k)
     for attribute, name in (("luminance", "pointssim_lum"),
                             ("geometry", "pointssim_geo")):
         out[name] = pointssim_score(
             ref, dist, attribute, est, k, pexp,
-            ref_index=ref_index, dist_index=dist_index)
+            ref_field=reference.fields[attribute],
+            dist_field=extract_dispersion(dist, attribute, est, k,
+                                          knn=dist_knn),
+            ref_index=ref_index, nearest=nn_forward)
 
-    table = (Lab2000HLTable.load(config.pcqm_lab_table)
-             if config.pcqm_lab_table else None)
-    h = config.pcqm_radius_factor * bounding_box(ref).diagonal
-    corr_ref = build_correspondence(ref, ref, h, table, ref_index)
-    corr_dist = build_correspondence(ref, dist, h, table, dist_index)
+    corr_ref = reference.corr
+    corr_dist = build_correspondence(ref, dist, corr_ref.radius,
+                                     reference.lab_table, dist_index,
+                                     nearest=nn_backward)
     constants = {f"k{i}": getattr(config, f"pcqm_k{i}") for i in range(1, 9)}
     pcqm = compute_pcqm_features(corr_ref, corr_dist, constants,
-                                 ref_index=ref_index)
+                                 neighbors=reference.pcqm_neighbors)
     for name, value in pcqm.as_dict().items():
         out[f"pcqm_{name}"] = value
     out["pcqm"] = pcqm_aggregate(pcqm)
@@ -175,13 +266,10 @@ def compute_pair_metrics(ref: PointCloud, dist: PointCloud,
     scales = tuple(range(config.graphsim_n_scales))
     gsim = msgraphsim_score(
         ref, dist, scales=scales,
-        keypoint_fraction=config.graphsim_keypoint_fraction,
-        k_graph=config.graphsim_k,
-        radius_factor=config.graphsim_radius_factor,
         t=(config.graphsim_t_mag, config.graphsim_t_mean,
            config.graphsim_t_cov),
         smoothing=config.graphsim_smoothing,
-        ref_index=ref_index, dist_index=dist_index)
+        dist_index=dist_index, reference=reference.graphsim)
     for s in scales:
         for kind in ("mg", "ug", "cg"):
             out[f"msgsim_{kind}_s{s}"] = gsim.sim(kind, s)
@@ -203,20 +291,31 @@ def feature_vector(metrics: dict, config: Config = None) -> np.ndarray:
 
 
 def compute_pair_features(ref: PointCloud, dist: PointCloud,
-                          config: Config = None) -> np.ndarray:
-    return feature_vector(compute_pair_metrics(ref, dist, config), config)
+                          config: Config = None,
+                          reference: ReferenceContext = None) -> np.ndarray:
+    return feature_vector(compute_pair_metrics(ref, dist, config, reference),
+                          config)
 
 
 # ---------------------------------------------------------------------------
 # batch extraction with a content-addressed cache
 
-def _pair_cache_key(ref_file: str, dist_file: str, config: Config) -> str:
+def _file_digest(path: str) -> bytes:
+    try:
+        with open(path, "rb") as stream:
+            return hashlib.sha256(stream.read()).digest()
+    except OSError as exc:
+        raise IoFailure(f"cannot read {path}: {exc}") from exc
+
+
+def _pair_cache_key(ref_digest: bytes, dist_digest: bytes,
+                    config: Config) -> str:
+    """Cache key of a pair from the sha256 digests of its two files."""
     digest = hashlib.sha256()
     digest.update(f"pcqkit-features-{_SCHEMA}\n".encode())
     digest.update(config.hash.encode())
-    for path in (ref_file, dist_file):
-        with open(path, "rb") as stream:
-            digest.update(hashlib.sha256(stream.read()).digest())
+    digest.update(ref_digest)
+    digest.update(dist_digest)
     return digest.hexdigest()
 
 
@@ -252,11 +351,42 @@ def _cache_write(cache_dir: str, key: str, config_hash: str, row):
         raise
 
 
-def _extract_one(task):
-    ref_file, dist_file, config = task
-    ref = load_ply(ref_file)
-    dist = load_ply(dist_file)
-    return compute_pair_features(ref, dist, config)
+def _extract_run(task):
+    """Feature rows of several distortions of one reference.
+
+    The reference is loaded and its context built once. Returns, per
+    distortion, its feature vector or the PcqkitError it raised; a
+    reference that fails fails every row.
+    """
+    ref_file, dist_files, config = task
+    try:
+        ref = load_ply(ref_file)
+        reference = ReferenceContext.build(ref, config)
+    except PcqkitError as exc:
+        return [exc] * len(dist_files)
+    out = []
+    for dist_file in dist_files:
+        try:
+            out.append(compute_pair_features(ref, load_ply(dist_file),
+                                             config, reference))
+        except PcqkitError as exc:
+            out.append(exc)
+    return out
+
+
+def _runs(rows, pending, jobs):
+    """Split pending row indices into runs that share one reference.
+
+    Rows are grouped by reference file in order of first appearance; a
+    run holds at most ceil(len(pending) / jobs) rows, so a manifest with
+    one reference still gives every worker a run.
+    """
+    size = -(-len(pending) // jobs)
+    groups = {}
+    for i in pending:
+        groups.setdefault(rows[i].ref_file, []).append(i)
+    return [members[start:start + size] for members in groups.values()
+            for start in range(0, len(members), size)]
 
 
 @dataclass
@@ -295,8 +425,12 @@ def extract_features(rows, config: Config = None, jobs: int = None,
 
     Returns (FeatureTable, stats) where stats counts cache hits and
     fresh computations. jobs=1 stays in-process; 0 or None uses the
-    configured worker count (0 meaning one per CPU). Rows keep manifest
-    order regardless of completion order.
+    configured worker count (0 meaning one per CPU). Pending rows are
+    grouped by reference so each task builds one ReferenceContext for
+    several distortions; rows keep manifest order regardless of
+    completion order. A row that fails does not stop the others: every
+    row is attempted, good rows are cached, and then one PcqkitError
+    names each failed manifest line and its error.
     """
     config = config or Config()
     if jobs is None:
@@ -307,12 +441,22 @@ def extract_features(rows, config: Config = None, jobs: int = None,
         cache_dir = config.pipeline_cache_dir
 
     values = np.full((len(rows), len(FEATURE_COLUMNS)), np.nan)
+    failures = {}
     pending = []
     keys = {}
+    digests = {}
     n_cached = 0
     for i, row in enumerate(rows):
         if cache_dir:
-            keys[i] = _pair_cache_key(row.ref_file, row.dist_file, config)
+            try:
+                for path in (row.ref_file, row.dist_file):
+                    if path not in digests:
+                        digests[path] = _file_digest(path)
+            except IoFailure as exc:
+                failures[i] = exc
+                continue
+            keys[i] = _pair_cache_key(digests[row.ref_file],
+                                      digests[row.dist_file], config)
             hit = _cache_read(cache_dir, keys[i])
             if hit is not None:
                 values[i] = hit
@@ -323,26 +467,36 @@ def extract_features(rows, config: Config = None, jobs: int = None,
         pending.append(i)
 
     if pending:
-        tasks = [(rows[i].ref_file, rows[i].dist_file, config)
-                 for i in pending]
-        if jobs == 1 or len(pending) == 1:
-            results = map(_extract_one, tasks)
-            for i, vec in zip(pending, results):
-                values[i] = vec
-                if cache_dir:
-                    _cache_write(cache_dir, keys[i], config.hash, vec)
-                if progress:
-                    progress(i, len(rows), rows[i], False)
-        else:
-            with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) \
-                    as pool:
-                for i, vec in zip(pending, pool.map(_extract_one, tasks)):
+        runs = _runs(rows, pending, jobs)
+        tasks = [(rows[run[0]].ref_file, [rows[i].dist_file for i in run],
+                  config) for run in runs]
+        with contextlib.ExitStack() as stack:
+            if jobs == 1 or len(runs) == 1:
+                results = map(_extract_run, tasks)
+            else:
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=min(jobs, len(runs))))
+                results = pool.map(_extract_run, tasks)
+            for run, outcome in zip(runs, results):
+                for i, vec in zip(run, outcome):
+                    if isinstance(vec, PcqkitError):
+                        failures[i] = vec
+                        continue
                     values[i] = vec
                     if cache_dir:
                         _cache_write(cache_dir, keys[i], config.hash, vec)
                     if progress:
                         progress(i, len(rows), rows[i], False)
 
+    if failures:
+        lines = []
+        for i, exc in sorted(failures.items()):
+            row = rows[i]
+            where = f"manifest line {row.line}" if row.line else f"row {i + 1}"
+            lines.append(f"{where} ({row.dist_path}): "
+                         f"{type(exc).__name__}: {exc}")
+        raise PcqkitError(f"{len(failures)} of {len(rows)} rows failed:\n  "
+                          + "\n  ".join(lines))
     table = FeatureTable(list(rows), FEATURE_COLUMNS, values, config.hash)
     return table, {"n_rows": len(rows), "n_cached": n_cached,
                    "n_computed": len(pending)}

@@ -34,9 +34,18 @@ class MinMaxScaler(ParamMixin):
 
     def fit(self, X):
         X = check_matrix_2d(X)
-        self.min_ = X.min(axis=0)
-        self.max_ = X.max(axis=0)
-        span = self.max_ - self.min_
+        return self._set_range(X.min(axis=0), X.max(axis=0))
+
+    @classmethod
+    def from_state(cls, min_, max_) -> "MinMaxScaler":
+        """A fitted scaler from saved per-feature minima and maxima."""
+        return cls()._set_range(np.asarray(min_, dtype=np.float64),
+                                np.asarray(max_, dtype=np.float64))
+
+    def _set_range(self, min_, max_):
+        self.min_ = min_
+        self.max_ = max_
+        span = max_ - min_
         self.constant_features_ = [int(i) for i in np.where(span == 0.0)[0]]
         self.span_ = np.where(span == 0.0, 1.0, span)
         return self
@@ -415,13 +424,8 @@ class FusionModel:
         model = cls(state["name"], state["features"], state["regressor"],
                     state.get("params"))
         model.metadata = dict(state.get("metadata", {}))
-        model.scaler = MinMaxScaler()
-        model.scaler.min_ = np.asarray(state["scaler"]["min"], dtype=np.float64)
-        model.scaler.max_ = np.asarray(state["scaler"]["max"], dtype=np.float64)
-        span = model.scaler.max_ - model.scaler.min_
-        model.scaler.constant_features_ = [
-            int(i) for i in np.where(span == 0.0)[0]]
-        model.scaler.span_ = np.where(span == 0.0, 1.0, span)
+        model.scaler = MinMaxScaler.from_state(state["scaler"]["min"],
+                                               state["scaler"]["max"])
         model.estimator = model._make_estimator()
         if model.regressor == "ridge":
             model.estimator.coef_ = np.asarray(state["coef"], dtype=np.float64)

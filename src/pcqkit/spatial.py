@@ -69,7 +69,7 @@ class SpatialIndex:
         # extra candidates are sorted out below
         lists = self._tree.query_ball_point(
             queries, d0[:, -1] * (1.0 + 1e-9), workers=-1, return_sorted=True)
-        cand, dist, counts = self._pad(lists, queries)
+        cand, dist = self._pad(lists, queries)
         order = np.argsort(dist, axis=1, kind="stable")
         rows = np.arange(len(queries))[:, None]
         idx = cand[rows, order][:, :k_eff]
@@ -109,11 +109,15 @@ class SpatialIndex:
         idx, dst = self.knn_batch(queries, k=1)
         return idx[:, 0], dst[:, 0]
 
-    def mean_nn_distance(self):
-        """Mean distance from each point to its nearest other point."""
+    def mean_nn_distance(self, knn=None):
+        """Mean distance from each point to its nearest other point.
+
+        knn: a self query of this index with two or more columns, whose
+        second column is then reused instead of a new query.
+        """
         if self.n < 2:
             return 0.0
-        _, dst = self.knn_batch(self.positions, k=2)
+        _, dst = knn if knn is not None else self.knn_batch(self.positions, 2)
         return float(dst[:, 1].mean())
 
     def _pad(self, lists, queries):
@@ -126,7 +130,7 @@ class SpatialIndex:
         dist = np.full((m, width), np.inf)
         dist[mask] = _distances(
             self.positions[cand], queries[:, None, :])[mask]
-        return cand, dist, counts
+        return cand, dist
 
 
 def build_index(cloud) -> SpatialIndex:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, bounding_box
-from .spatial import build_index
+from .spatial import SpatialIndex, build_index
 
 _MIN_QUADRIC_POINTS = 6
 _ROWS_PER_CHUNK = 1_500_000
@@ -127,14 +127,16 @@ def _fit_chunk(points, neighbor_lists, centers, counts, start, stop,
     plane_fallback[sel[use_p]] = True
 
 
-def estimate_normals(cloud: PointCloud, radius: float, return_stats=False):
+def estimate_normals(cloud: PointCloud, radius: float, return_stats=False,
+                     index: SpatialIndex = None):
     """Estimate unit normals by quadric fitting over radius neighborhoods.
 
     Signs are chosen so each normal points away from the bounding-box
     centroid (non-negative dot with centroid-to-point vector). Returns a
     new cloud; optionally also (n_plane_fallback, n_degenerate) counts.
+    An index already built over the cloud may be passed for reuse.
     """
-    index = build_index(cloud)
+    index = index or build_index(cloud)
     lists = [idx for idx, _ in
              index.radius_batch(cloud.positions, float(radius))]
     fit = fit_local_surfaces(cloud.positions, lists, cloud.positions)

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from pcqkit.io_ply import save_ply
+from pcqkit.pipeline import (FEATURE_COLUMNS, FeatureTable, ManifestRow,
+                             write_features_csv)
 
 from conftest import jitter, surface_cloud
 
@@ -166,3 +168,60 @@ def test_data_errors_exit_2(corpus, tmp_path):
                            "--out", str(tmp_path / "f.csv"))
     assert code == 2
     assert "row" in err.lower()
+
+
+def test_config_seed_is_the_default_seed(tmp_path):
+    rng = np.random.default_rng(4)
+    rows = [ManifestRow(f"g{i % 6}", f"r{i % 6}.ply", f"d{i}.ply",
+                        float(rng.uniform(1, 5))) for i in range(18)]
+    features = tmp_path / "features.csv"
+    write_features_csv(FeatureTable(rows, FEATURE_COLUMNS,
+                                    rng.uniform(size=(18, 23)), "abc"),
+                       features)
+    ini = tmp_path / "seed.ini"
+    ini.write_text("[pipeline]\nseed = 5\n")
+
+    def crossval(*extra):
+        code, out, err = run_cli("crossval", "--features", str(features),
+                                 "--model", "model1", "--folds", "3", *extra)
+        assert code == 0, err
+        return json.loads(out)
+
+    from_ini = crossval("--config", str(ini))
+    assert from_ini["seed"] == 5
+    assert from_ini == crossval("--seed", "5")
+    assert crossval("--config", str(ini), "--seed", "2")["seed"] == 2
+    assert crossval()["seed"] == 0
+
+    code, out, err = run_cli("rfe", "--features", str(features),
+                             "--config", str(ini))
+    assert code == 0, err
+    assert json.loads(out)["seed"] == 5
+    model = tmp_path / "model.json"
+    code, _, err = run_cli("train", "--features", str(features), "--model",
+                           "model1", "--config", str(ini), "--out", str(model))
+    assert code == 0, err
+    assert json.loads(model.read_text())["metadata"]["seed"] == 5
+
+
+def test_extract_reports_bad_rows_and_writes_no_table(corpus, tmp_path):
+    lines = ["group_id,ref_path,dist_path,mos"]
+    for g in range(2):
+        for name in (f"ref{g}.ply", f"d{g}_0.ply", f"d{g}_1.ply"):
+            (tmp_path / name).write_bytes((corpus / name).read_bytes())
+        lines += [f"g{g},ref{g}.ply,d{g}_0.ply,4.0",
+                  f"g{g},ref{g}.ply,d{g}_1.ply,3.0"]
+    (tmp_path / "cut.ply").write_bytes((corpus / "d0_2.ply").read_bytes()[:200])
+    lines.insert(2, "g0,ref0.ply,cut.ply,2.0")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "features.csv"
+    cache = tmp_path / "cache"
+    code, _, err = run_cli("extract", "--manifest", str(manifest),
+                           "--out", str(out), "--cache", str(cache),
+                           "--jobs", "2")
+    assert code == 2
+    assert "1 of 5 rows failed" in err
+    assert "manifest line 3 (cut.ply)" in err
+    assert not out.exists()
+    assert len(os.listdir(cache)) == 4

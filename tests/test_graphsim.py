@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pcqkit.cloud import PointCloud
-from pcqkit.errors import AllKeypointsEmpty
+from pcqkit.errors import AllKeypointsEmpty, SettingsMismatch
 from pcqkit.metrics.graphsim import (GradientFeatures, extract_keypoints,
-                                     graph_pair_sims, graphsim_score,
-                                     msgraphsim_score, scale_transform)
+                                     graph_pair_sims, graphsim_reference,
+                                     graphsim_score, msgraphsim_score,
+                                     scale_transform)
 from pcqkit.spatial import build_index
 
 from conftest import jitter, surface_cloud
@@ -96,3 +97,18 @@ def test_scale_weights_must_match():
     cloud = surface_cloud(200, seed=10)
     with pytest.raises(ValueError):
         msgraphsim_score(cloud, cloud, scales=(0, 1), scale_weights=(1.0,))
+
+
+def test_scales_are_scored_independently_and_reference_is_reusable():
+    # a scale's similarities do not depend on which other scales run
+    ref = surface_cloud(400, seed=12)
+    dist = jitter(ref, 1.5, seed=13, color_sigma=6.0)
+    full = msgraphsim_score(ref, dist, scales=(0, 1, 2))
+    reference = graphsim_reference(ref, scales=(1, 2))
+    for _ in range(2):
+        part = msgraphsim_score(ref, dist, scales=(1, 2),
+                                reference=reference)
+        assert np.array_equal(part.sims, full.sims[1:])
+        assert np.array_equal(part.per_scale, full.per_scale[1:])
+    with pytest.raises(SettingsMismatch):
+        msgraphsim_score(ref, dist, scales=(0, 1, 2), reference=reference)

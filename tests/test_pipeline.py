@@ -1,18 +1,23 @@
+import hashlib
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pcqkit.cloud import PointCloud
 from pcqkit.config import Config
 from pcqkit.errors import (BadMosValue, ConfigMismatch, JoinMismatch,
-                           MissingColumn, SchemaMismatch)
-from pcqkit.io_ply import save_ply
-from pcqkit.pipeline import (FEATURE_COLUMNS, compute_pair_metrics,
-                             extract_features, feature_vector, join_scores,
-                             load_manifest, read_features_csv,
-                             read_scores_csv, write_features_csv,
-                             write_scores_csv)
+                           MissingColumn, PcqkitError, SchemaMismatch,
+                           SettingsMismatch)
+from pcqkit.io_ply import load_ply, save_ply
+from pcqkit.pipeline import (FEATURE_COLUMNS, ManifestRow, ReferenceContext,
+                             _pair_cache_key, _runs, compute_pair_features,
+                             compute_pair_metrics, extract_features,
+                             feature_vector, join_scores, load_manifest,
+                             read_features_csv, read_scores_csv,
+                             write_features_csv, write_scores_csv)
 
 from conftest import jitter, surface_cloud
 
@@ -172,3 +177,108 @@ def test_low_scale_count_is_rejected():
     cloud = surface_cloud(100, seed=1)
     with pytest.raises(ConfigMismatch):
         compute_pair_metrics(cloud, cloud, Config(graphsim_n_scales=2))
+
+
+def _interleaved_corpus(root, points=400):
+    """2 references x 3 distortions, rows of one reference not adjacent."""
+    lines = ["group_id,ref_path,dist_path,mos"]
+    for g in range(2):
+        save_ply(surface_cloud(points, seed=30 + g),
+                 os.path.join(root, f"ref{g}.ply"))
+    for lvl in range(3):
+        for g in range(2):
+            ref = surface_cloud(points, seed=30 + g)
+            dist = jitter(ref, 0.5 + lvl, seed=60 + 10 * g + lvl,
+                          color_sigma=3.0 * lvl)
+            save_ply(dist, os.path.join(root, f"d{g}_{lvl}.ply"))
+            lines.append(f"g{g},ref{g}.ply,d{g}_{lvl}.ply,{4.0 - lvl}")
+    path = os.path.join(root, "manifest.csv")
+    with open(path, "w") as stream:
+        stream.write("\n".join(lines) + "\n")
+    return path
+
+
+def test_grouped_extract_matches_per_pair_features(tmp_path):
+    rows = load_manifest(_interleaved_corpus(tmp_path))
+    expected = np.array([
+        compute_pair_features(load_ply(r.ref_file), load_ply(r.dist_file))
+        for r in rows])
+    for jobs in (1, 2):
+        table, stats = extract_features(rows, jobs=jobs)
+        assert stats["n_computed"] == 6
+        assert np.array_equal(table.values, expected), jobs
+
+
+def test_reference_context_reuse_matches_fresh_context():
+    ref = surface_cloud(450, seed=5)
+    config = Config()
+    reference = ReferenceContext.build(ref, config)
+    for lvl, sigma in enumerate((0.5, 2.0, 4.0)):
+        dist = jitter(ref, sigma, seed=70 + lvl, color_sigma=2.0 * sigma)
+        shared = compute_pair_metrics(ref, dist, config, reference)
+        fresh = compute_pair_metrics(ref, dist, config)
+        assert shared.keys() == fresh.keys()
+        for name in fresh:
+            assert repr(shared[name]) == repr(fresh[name]), name
+
+
+def test_reference_context_rejects_other_cloud_or_config():
+    ref = surface_cloud(300, seed=6)
+    reference = ReferenceContext.build(ref, Config())
+    dist = jitter(ref, 1.0, seed=7)
+    with pytest.raises(SettingsMismatch):
+        compute_pair_metrics(surface_cloud(300, seed=8), dist, Config(),
+                             reference)
+    moved = PointCloud(ref.positions + 1.0, colors=ref.colors,
+                       bit_depth=ref.bit_depth)
+    with pytest.raises(SettingsMismatch):
+        compute_pair_metrics(moved, dist, Config(), reference)
+    with pytest.raises(SettingsMismatch):
+        compute_pair_metrics(ref, dist, Config(pointssim_k=8), reference)
+    # an equal copy of the reference is accepted
+    copy = PointCloud(ref.positions.copy(), colors=ref.colors.copy(),
+                      bit_depth=ref.bit_depth)
+    compute_pair_metrics(copy, dist, Config(), reference)
+
+
+def test_runs_group_by_reference_and_fill_every_worker():
+    rows = [ManifestRow("g", "r", f"d{i}", 1.0, ref_file=f"r{i % 2}")
+            for i in range(6)]
+    assert _runs(rows, list(range(6)), 1) == [[0, 2, 4], [1, 3, 5]]
+    assert _runs(rows, [0, 1, 2, 4], 2) == [[0, 2], [4], [1]]
+    one_ref = [replace(r, ref_file="r") for r in rows]
+    assert _runs(one_ref, list(range(6)), 4) == [[0, 1], [2, 3], [4, 5]]
+
+
+def test_cache_key_is_stable():
+    # keys must not change, or every existing cache misses
+    config = Config()
+    ref_digest, dist_digest = b"\x01" * 32, b"\x02" * 32
+    expected = hashlib.sha256(
+        b"pcqkit-features-1\n" + config.hash.encode()
+        + ref_digest + dist_digest).hexdigest()
+    assert _pair_cache_key(ref_digest, dist_digest, config) == expected
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_rows_are_reported_and_good_rows_kept(tmp_path, jobs):
+    path = _interleaved_corpus(tmp_path)
+    bad_dist = tmp_path / "d1_1.ply"
+    bad_dist.write_bytes(bad_dist.read_bytes()[:300])      # truncated
+    rows = load_manifest(path)
+    cache = str(tmp_path / "cache")
+    with pytest.raises(PcqkitError) as info:
+        extract_features(rows, jobs=jobs, cache_dir=cache)
+    message = str(info.value)
+    assert message.startswith("1 of 6 rows failed")
+    assert "manifest line 5 (d1_1.ply)" in message
+    assert len(os.listdir(cache)) == 5
+
+    # a reference that fails fails every row of its group
+    (tmp_path / "ref0.ply").write_text("not a ply\n")
+    with pytest.raises(PcqkitError) as info:
+        extract_features(rows, jobs=jobs)
+    message = str(info.value)
+    assert message.startswith("4 of 6 rows failed")
+    for line in (2, 4, 5, 6):
+        assert f"manifest line {line} " in message

@@ -110,3 +110,24 @@ def test_knn_property_matches_oracle(n, seed, k):
     idx, dst = index.knn_batch(queries, k)
     oidx, odst = brute_knn(points, queries, k)
     assert np.array_equal(idx, oidx) and np.array_equal(dst, odst)
+
+
+@pytest.mark.parametrize("duplicates", [False, True])
+def test_knn_prefix_equals_smaller_query(duplicates):
+    # a k-query's first j columns equal a j-query, ties included, which
+    # lets one self query serve every smaller k
+    rng = np.random.default_rng(9)
+    points = rng.uniform(0, 40, size=(500, 3))
+    if duplicates:
+        points = np.round(points / 8.0) * 8.0   # several points per voxel
+        assert len(np.unique(points, axis=0)) < len(points) / 2
+    index = build_index(PointCloud(points))
+    k = 13
+    idx, dst = index.knn_batch(points, k)
+    for j in range(1, k + 1):
+        jidx, jdst = index.knn_batch(points, j)
+        assert np.array_equal(idx[:, :j], jidx), j
+        assert np.array_equal(dst[:, :j], jdst), j
+    nidx, ndst = index.nearest_batch(points)
+    assert np.array_equal(idx[:, 0], nidx) and np.array_equal(dst[:, 0], ndst)
+    assert index.mean_nn_distance((idx, dst)) == index.mean_nn_distance()
