@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pcqkit.errors import DegenerateInput
 from pcqkit.evaluation import (error_stats, evaluate, fit_logistic, logistic,
@@ -52,6 +55,7 @@ def test_logistic_self_recovery():
     assert fit.rmse < 1e-6
     assert np.allclose(fit.beta, beta, atol=1e-3)
     assert np.allclose(fit(x), y, atol=1e-6)
+    assert np.array_equal(fit_logistic(x, y).beta, fit.beta)
 
 
 def test_logistic_matches_best_line_on_linear_data():
@@ -62,6 +66,29 @@ def test_logistic_matches_best_line_on_linear_data():
     y = 0.31 * x + 1.2
     fit = fit_logistic(x, y)
     assert fit.rmse <= 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(5, 80),
+       slope=st.floats(-10.0, 10.0), noise=st.sampled_from(
+           [0.0, 1e-9, 1e-4, 0.05, 1.0, 100.0]))
+def test_logistic_never_worse_than_best_line(data, n, slope, noise):
+    # A logistic draws a line only in the limit b3 -> 0, where b2 - b1
+    # grows as 1 / b3: evaluating the curve, and projecting onto it, then
+    # lose digits, so that near the line the fit is known to about 1e-9
+    # of the MOS range per point. The bound allows 1e-8 of it per point
+    # on top. Scores are multiples of 1/64, so np.polyfit stays exact.
+    x = data.draw(arrays(np.int64, n, elements=st.integers(-6400, 6400)))
+    x = x / 64.0
+    e = data.draw(arrays(np.float64, n, elements=st.floats(-1.0, 1.0)))
+    if np.ptp(x) == 0.0:
+        return  # constant scores are rejected, as tested below
+    y = 0.5 + slope * x + noise * e
+    fit = fit_logistic(x, y)
+    line = np.polyval(np.polyfit(x, y, 1), x) - y
+    line_sse = float(line @ line)
+    floor = n * (1e-8 * np.ptp(y)) ** 2
+    assert fit.rmse ** 2 * n <= line_sse * (1.0 + 1e-9) + 1e-24 + floor
 
 
 def test_logistic_beats_line_on_noisy_data():
@@ -80,6 +107,8 @@ def test_logistic_handles_decreasing_metric():
     y = logistic(x, np.array([0.9, 0.1, 6.0, 0.5]))  # high score = low MOS
     fit = fit_logistic(x, y)
     assert fit.rmse < 1e-6
+    # one canonical form: b3 >= 0, and a decreasing curve has b1 > b2
+    assert np.allclose(fit.beta, [0.9, 0.1, 6.0, 0.5], atol=1e-3)
 
 
 def test_logistic_degenerate_inputs():
@@ -87,6 +116,22 @@ def test_logistic_degenerate_inputs():
         fit_logistic([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])  # < 5 rows
     with pytest.raises(DegenerateInput):
         fit_logistic(np.ones(8), np.linspace(0, 1, 8))  # constant scores
+
+
+def test_logistic_fit_memory_is_bounded():
+    # the (b3, b4) grid is walked in blocks; a dense grid by 200 scores
+    # alone would take over 5 MB
+    rng = np.random.default_rng(6)
+    x = rng.uniform(size=200)
+    y = x + 0.1 * rng.normal(size=200)
+    fit_logistic(x, y)
+    tracemalloc.start()
+    try:
+        fit_logistic(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
 
 
 def test_logistic_extreme_arguments_do_not_overflow():
