@@ -16,15 +16,14 @@ from .pipeline import (FEATURE_COLUMNS, FeatureTable, ReferenceContext,
                        read_features_csv, write_features_csv)
 from .regression import (MODEL_REGISTRY, FusionModel, MinMaxScaler, RbfSvr,
                          RidgeRegression, group_kfold, make_model, rfe_rank)
-from .spatial import (Neighborhood, SpatialIndex, build_index, knn_query,
-                      radius_query)
+from .spatial import Neighbors, SpatialIndex, build_index
 from .surface import estimate_normals
 
 __all__ = [
     "BoundingBox", "PointCloud", "bounding_box", "infer_bit_depth",
     "Config", "load_config",
     "load_ply", "save_ply",
-    "SpatialIndex", "Neighborhood", "build_index", "knn_query", "radius_query",
+    "SpatialIndex", "Neighbors", "build_index",
     "estimate_normals",
     "compute_d1", "compute_d2", "compute_yuv",
     "pointssim_score",

@@ -9,6 +9,7 @@ settings are caught instead of silently mixed.
 import configparser
 import dataclasses
 import hashlib
+import math
 import os
 import typing
 from dataclasses import dataclass
@@ -85,10 +86,13 @@ def _convert(name: str, raw: str, target_type):
             return False
         raise ConfigMismatch(f"{name}: expected a boolean, got {raw!r}")
     try:
-        return target_type(raw)
+        value = target_type(raw)
     except ValueError:
         raise ConfigMismatch(
             f"{name}: expected {target_type.__name__}, got {raw!r}") from None
+    if target_type is float and math.isnan(value):
+        raise ConfigMismatch(f"{name}: expected a number, got {raw!r}")
+    return value
 
 
 def _base_type(annotation):

@@ -197,7 +197,6 @@ class GraphSimReference:
 
     radius: float           # graph radius
     keypoints: KeypointSet
-    members: list           # ref point indices within radius, per keypoint
     centers: np.ndarray     # (n_scales, n_kp, 3) graph center per scale
     centroid: np.ndarray    # bounding-box centroid of the reference
     features: list          # features[i][s]: GradientFeatures of keypoint
@@ -223,8 +222,8 @@ def graphsim_reference(ref: PointCloud, scales=(0, 1, 2),
     ref_index = ref_index or build_index(ref)
     if radius is None:
         radius = radius_factor * ref_index.mean_nn_distance(knn)
-    if radius <= 0.0:
-        raise ValueError("graph radius must be positive")
+    if not radius > 0.0:
+        raise ValueError(f"graph radius must be positive, got {radius}")
 
     signals = rgb_to_gaussian(ref.require_colors("MS-GraphSIM"),
                               color_matrix)
@@ -235,10 +234,10 @@ def graphsim_reference(ref: PointCloud, scales=(0, 1, 2),
     centers = np.stack([kp_pos if s == 0
                         else centroid + (kp_pos - centroid) / 2 ** s
                         for s in scales])
-    members = [idx for idx, _ in
-               ref_index.radius_batch(kp_pos, radius, sort_by_distance=True)]
+    # each keypoint lies in its own graph, so no graph is empty
+    members = ref_index.radius_batch(kp_pos, radius, sort_by_distance=True)
     features = []
-    for i, idx in enumerate(members):
+    for i, (idx, _) in enumerate(members):
         pos_all = ref.positions[idx]
         row = []
         for si, scale in enumerate(scales):
@@ -246,8 +245,8 @@ def graphsim_reference(ref: PointCloud, scales=(0, 1, 2),
             row.append(_graph_features(pos, signals[idx[kept]],
                                        centers[si, i], smoothing))
         features.append(row)
-    return GraphSimReference(float(radius), keypoints, members, centers,
-                             centroid, features, scales, bool(smoothing))
+    return GraphSimReference(float(radius), keypoints, centers, centroid,
+                             features, scales, bool(smoothing))
 
 
 def msgraphsim_score(ref: PointCloud, dist: PointCloud,
@@ -286,19 +285,14 @@ def msgraphsim_score(ref: PointCloud, dist: PointCloud,
     dist_index = dist_index or build_index(dist)
     sig_dist = rgb_to_gaussian(dist.require_colors("MS-GraphSIM"),
                                color_matrix)
-    dist_lists = dist_index.radius_batch(
+    dist_nbrs = dist_index.radius_batch(
         ref.positions[reference.keypoints.indices], reference.radius,
         sort_by_distance=True)
 
     n_kp = len(reference.keypoints.indices)
     sims = np.zeros((n_kp, len(scales), 3, 3))      # kp, scale, kind, channel
-    used = np.zeros(n_kp, dtype=bool)
     empty_dist = 0
-    for i in range(n_kp):
-        d_idx, _ = dist_lists[i]
-        if len(reference.members[i]) == 0 and len(d_idx) == 0:
-            continue
-        used[i] = True
+    for i, (d_idx, _) in enumerate(dist_nbrs):
         d_pos_all = dist.positions[d_idx]
         for si, scale in enumerate(scales):
             if len(d_idx) == 0:
@@ -313,15 +307,12 @@ def msgraphsim_score(ref: PointCloud, dist: PointCloud,
             sims[i, si] = graph_pair_sims(reference.features[i][si], feat_d,
                                           t)
 
-    if not used.any():
-        raise AllKeypointsEmpty("no keypoint produced a non-empty graph")
     if empty_dist == n_kp:
         # no keypoint found any dist-side support: the clouds are disjoint
         # at this radius and a score would only measure the constant T
         raise AllKeypointsEmpty(
             f"all {n_kp} keypoints have an empty dist-side graph at "
             f"radius {reference.radius:g}")
-    sims = sims[used]
 
     # per-kind features: channel-pooled SIMs averaged over keypoints
     pooled_kind = np.einsum("ksjc,c->ksj", sims, cw) / cw.sum()

@@ -72,8 +72,7 @@ def build_correspondence(ref: PointCloud, dist: PointCloud, h: float,
         dist_index = dist_index or build_index(dist)
     if neighbors is None:
         neighbors = dist_index.radius_batch(ref.positions, float(h))
-    fit = fit_local_surfaces(dist.positions, [idx for idx, _ in neighbors],
-                             ref.positions)
+    fit = fit_local_surfaces(dist.positions, neighbors, ref.positions)
 
     if nearest is None:
         nearest, _ = dist_index.nearest_batch(ref.positions)
@@ -107,14 +106,12 @@ class PcqmFeatures:
 class _Segments:
     """Gaussian-weighted two-pass statistics over ragged neighborhoods."""
 
-    def __init__(self, lists, distances, sigma):
-        counts = np.fromiter((len(l) for l in lists), dtype=np.int64,
-                             count=len(lists))
-        self.counts = counts
-        self.offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        self.flat = np.concatenate(lists).astype(np.int64)
-        self.rows = np.repeat(np.arange(len(lists)), counts)
-        d = np.concatenate(distances)
+    def __init__(self, neighbors, sigma):
+        # every row holds at least its own center, as reduceat requires
+        self.offsets = neighbors.offsets[:-1]
+        self.flat = neighbors.indices
+        self.rows = np.repeat(np.arange(len(neighbors)), neighbors.counts)
+        d = neighbors.distances
         self.w = np.exp(-(d * d) / (2.0 * sigma * sigma))
         self.w_sum = np.add.reduceat(self.w, self.offsets)
 
@@ -159,8 +156,7 @@ def compute_pcqm_features(corr_ref: Correspondence,
     if neighbors is None:
         index = ref_index or build_index(corr_ref.positions)
         neighbors = index.radius_batch(corr_ref.positions, h)
-    seg = _Segments([p[0] for p in neighbors], [p[1] for p in neighbors],
-                    sigma=h / 3.0)
+    seg = _Segments(neighbors, sigma=h / 3.0)
 
     mu_rho_r = seg.mean(corr_ref.curvature)
     mu_rho_d = seg.mean(corr_dist.curvature)

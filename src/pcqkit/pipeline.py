@@ -37,7 +37,7 @@ from .metrics.pcqm import (Correspondence, build_correspondence,
 from .metrics.pointssim import extract_dispersion, pointssim_score
 from .metrics.psnr import (compute_d1, compute_d2, compute_yuv,
                            ensure_normals, nearest_matches)
-from .spatial import SpatialIndex, build_index
+from .spatial import Neighbors, SpatialIndex, build_index
 
 __all__ = ["FEATURE_COLUMNS", "ManifestRow", "load_manifest",
            "ReferenceContext", "compute_pair_metrics", "feature_vector",
@@ -142,7 +142,7 @@ class ReferenceContext:
     ycc: np.ndarray          # YCbCr colors, for YUV PSNR
     fields: dict             # attribute -> PointSSIM DispersionField
     lab_table: Optional[Lab2000HLTable]
-    pcqm_neighbors: list     # radius-h self query
+    pcqm_neighbors: Neighbors  # radius-h self query
     corr: Correspondence     # build_correspondence(ref, ref)
     graphsim: GraphSimReference
 

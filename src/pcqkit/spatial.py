@@ -6,8 +6,8 @@ point index, so results are exact and fully deterministic regardless of
 tree internals or worker count.
 """
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -15,8 +15,7 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 from .errors import EmptyCloud
 
-__all__ = ["Neighborhood", "SpatialIndex", "build_index", "knn_query",
-           "radius_query"]
+__all__ = ["Neighbors", "SpatialIndex", "build_index"]
 
 
 def _distances(positions, query):
@@ -26,15 +25,31 @@ def _distances(positions, query):
 
 
 @dataclass(frozen=True)
-class Neighborhood:
-    """Result of one query: indices with matching ascending distances."""
+class Neighbors:
+    """Neighborhoods of m queries in one flat (CSR) layout.
 
-    indices: np.ndarray
-    distances: np.ndarray
-    center: Optional[int] = None
+    Row i is indices[offsets[i]:offsets[i + 1]] with the matching
+    distances; offsets has m + 1 entries, from 0 to len(indices).
+    """
+
+    indices: np.ndarray    # (total,) int64 point indices
+    distances: np.ndarray  # (total,) canonical distances
+    offsets: np.ndarray    # (m + 1,) int64 row boundaries
 
     def __len__(self):
-        return self.indices.shape[0]
+        return len(self.offsets) - 1
+
+    @property
+    def counts(self):
+        return np.diff(self.offsets)
+
+    def __getitem__(self, i):
+        """(indices, distances) of row i; past the end raises IndexError,
+        which also ends iteration."""
+        if not 0 <= i < len(self):
+            raise IndexError(f"row {i} out of range for {len(self)} rows")
+        lo, hi = self.offsets[i], self.offsets[i + 1]
+        return self.indices[lo:hi], self.distances[lo:hi]
 
 
 class SpatialIndex:
@@ -66,43 +81,26 @@ class SpatialIndex:
         d0 = d0.reshape(len(queries), k_eff)
         # all points at distance <= d_k, so boundary ties are never dropped;
         # the tiny inflation covers ulp mismatches in the tree's own metric,
-        # extra candidates are sorted out below
-        lists = self._tree.query_ball_point(
-            queries, d0[:, -1] * (1.0 + 1e-9), workers=-1, return_sorted=True)
-        cand, dist = self._pad(lists, queries)
-        order = np.argsort(dist, axis=1, kind="stable")
-        rows = np.arange(len(queries))[:, None]
-        idx = cand[rows, order][:, :k_eff]
-        dst = dist[rows, order][:, :k_eff]
-        return idx, dst
+        # extra candidates fall behind the first k_eff once sorted
+        nbrs = self._query(queries, d0[:, -1] * (1.0 + 1e-9), np.inf, True)
+        take = nbrs.offsets[:-1, None] + np.arange(k_eff)
+        return nbrs.indices[take], nbrs.distances[take]
 
     def radius_batch(self, queries, radius, sort_by_distance=False):
         """All neighbors within radius (inclusive) of each query row.
 
-        Returns a list of (indices, distances) pairs, index-ordered by
-        default or sorted by (distance, index) on request.
+        Returns Neighbors, each row index-ordered by default or sorted
+        by (distance, index) on request.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         radius = np.broadcast_to(
             np.asarray(radius, dtype=np.float64), (len(queries),))
-        if np.any(radius < 0):
+        if not np.all(radius >= 0):
             raise ValueError("radius must be non-negative")
         # over-ask, then trim against the canonical distance so inclusion
         # at exactly r does not depend on the tree's internal rounding
-        lists = self._tree.query_ball_point(
-            queries, radius * (1.0 + 1e-9) + 1e-300, workers=-1,
-            return_sorted=True)
-        out = []
-        for q, r, members in zip(queries, radius, lists):
-            idx = np.asarray(members, dtype=np.int64)
-            dst = _distances(self.positions[idx], q)
-            inside = dst <= r
-            idx, dst = idx[inside], dst[inside]
-            if sort_by_distance and len(idx) > 1:
-                order = np.argsort(dst, kind="stable")
-                idx, dst = idx[order], dst[order]
-            out.append((idx, dst))
-        return out
+        return self._query(queries, radius * (1.0 + 1e-9) + 1e-300, radius,
+                           sort_by_distance)
 
     def nearest_batch(self, queries):
         """Single nearest neighbor per query, ties by ascending index."""
@@ -120,40 +118,33 @@ class SpatialIndex:
         _, dst = knn if knn is not None else self.knn_batch(self.positions, 2)
         return float(dst[:, 1].mean())
 
-    def _pad(self, lists, queries):
+    def _query(self, queries, ask, keep, sort_by_distance):
+        """Neighbors of the tree's candidates within ask of each query,
+        kept where the canonical distance is <= keep; rows come
+        index-ordered from the tree and stay so unless sorted."""
+        lists = self._tree.query_ball_point(
+            queries, ask, workers=-1, return_sorted=True)
         m = len(queries)
-        counts = np.fromiter((len(l) for l in lists), dtype=np.int64, count=m)
-        width = int(counts.max())
-        cand = np.zeros((m, width), dtype=np.int64)
-        mask = np.arange(width)[None, :] < counts[:, None]
-        cand[mask] = np.concatenate(lists) if counts.sum() else []
-        dist = np.full((m, width), np.inf)
-        dist[mask] = _distances(
-            self.positions[cand], queries[:, None, :])[mask]
-        return cand, dist
+        counts = np.fromiter(map(len, lists), dtype=np.int64, count=m)
+        idx = np.fromiter(itertools.chain.from_iterable(lists),
+                          dtype=np.int64, count=int(counts.sum()))
+        row = np.repeat(np.arange(m), counts)
+        dst = _distances(self.positions[idx], queries[row])
+        inside = dst <= np.broadcast_to(keep, (m,))[row]
+        idx, dst, row = idx[inside], dst[inside], row[inside]
+        if sort_by_distance:
+            # complex numbers sort by real part, then imaginary part: by
+            # row, then distance, and the stable sort keeps ties in index
+            # order. lexsort((dst, row)) gives the same order, but sorts
+            # every distance globally first and is several times slower
+            order = np.argsort(row + 1j * dst, kind="stable")
+            idx, dst = idx[order], dst[order]
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=m), out=offsets[1:])
+        return Neighbors(idx, dst, offsets)
 
 
 def build_index(cloud) -> SpatialIndex:
     """Index a PointCloud (or a raw position array)."""
     positions = cloud.positions if isinstance(cloud, PointCloud) else cloud
     return SpatialIndex(positions)
-
-
-def knn_query(index: SpatialIndex, query, k: int,
-              center: Optional[int] = None) -> Neighborhood:
-    """The k nearest points to a query position.
-
-    Results are sorted by distance; equal distances break by ascending
-    point index. k larger than the cloud returns every point.
-    """
-    idx, dst = index.knn_batch(np.asarray(query, dtype=np.float64), k)
-    return Neighborhood(idx[0], dst[0], center)
-
-
-def radius_query(index: SpatialIndex, query, radius: float,
-                 center: Optional[int] = None) -> Neighborhood:
-    """All points within radius of the query position, boundary inclusive."""
-    (idx, dst), = index.radius_batch(
-        np.asarray(query, dtype=np.float64), float(radius),
-        sort_by_distance=True)
-    return Neighborhood(idx, dst, center)

@@ -6,8 +6,9 @@ frame. Normals come from the quadric gradient, mean curvature from its
 second fundamental form. Neighborhoods with fewer than 6 points fall back
 to the PCA plane normal (curvature 0); collinear or coincident ones are
 degenerate and get the +z normal. Everything is batched: neighborhoods
-are concatenated and reduced segment-wise, so clouds of 1e5+ points stay
-fast without leaving numpy.
+arrive in the flat layout of spatial.Neighbors and are reduced
+segment-wise, a bounded number of neighbor rows per chunk, so clouds of
+1e5+ points stay fast without leaving numpy.
 """
 
 from dataclasses import dataclass
@@ -31,12 +32,12 @@ class SurfaceFit:
     degenerate: np.ndarray      # (m,) bool, collinear/coincident
 
 
-def fit_local_surfaces(points, neighbor_lists, centers) -> SurfaceFit:
-    """Fit a quadric around each center from the listed source points.
+def fit_local_surfaces(points, neighbors, centers) -> SurfaceFit:
+    """Fit a quadric around each center from its neighborhood.
 
-    points         : (n, 3) geometry the neighborhoods index into
-    neighbor_lists : sequence of index arrays, one per center
-    centers        : (m, 3) evaluation positions for normal/curvature
+    points    : (n, 3) geometry the neighborhoods index into
+    neighbors : Neighbors, one row per center
+    centers   : (m, 3) evaluation positions for normal/curvature
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.atleast_2d(np.asarray(centers, dtype=np.float64))
@@ -44,42 +45,40 @@ def fit_local_surfaces(points, neighbor_lists, centers) -> SurfaceFit:
     normals = np.tile([0.0, 0.0, 1.0], (m, 1))
     curvatures = np.zeros(m)
     plane_fallback = np.zeros(m, dtype=bool)
-    degenerate = np.zeros(m, dtype=bool)
+    degenerate = neighbors.counts == 0
 
-    counts = np.fromiter((len(l) for l in neighbor_lists),
-                         dtype=np.int64, count=m)
-    degenerate |= counts == 0
-
+    # chunks of whole rows holding at most _ROWS_PER_CHUNK neighbors; a
+    # bigger row gets a chunk of its own
+    offsets = neighbors.offsets
     start = 0
     while start < m:
-        stop = start + 1
-        rows = counts[start]
-        while stop < m and rows + counts[stop] <= _ROWS_PER_CHUNK:
-            rows += counts[stop]
-            stop += 1
-        _fit_chunk(points, neighbor_lists, centers, counts, start, stop,
+        stop = int(np.searchsorted(offsets, offsets[start] + _ROWS_PER_CHUNK,
+                                   side="right")) - 1
+        stop = max(stop, start + 1)
+        _fit_chunk(points, neighbors, centers, start, stop,
                    normals, curvatures, plane_fallback, degenerate)
         start = stop
     return SurfaceFit(normals, curvatures, plane_fallback, degenerate)
 
 
-def _fit_chunk(points, neighbor_lists, centers, counts, start, stop,
+def _fit_chunk(points, neighbors, centers, start, stop,
                normals, curvatures, plane_fallback, degenerate):
-    sel = np.arange(start, stop)
-    sel = sel[counts[sel] > 0]
+    offsets = neighbors.offsets
+    sel = start + np.flatnonzero(np.diff(offsets[start:stop + 1]))
     if len(sel) == 0:
         return
-    seg_counts = counts[sel]
-    offsets = np.concatenate(([0], np.cumsum(seg_counts)[:-1]))
-    flat = np.concatenate([neighbor_lists[i] for i in sel]).astype(np.int64)
+    seg_counts = offsets[sel + 1] - offsets[sel]
+    # reduceat needs non-empty segments: they start at the non-empty rows
+    seg_starts = offsets[sel] - offsets[start]
+    flat = neighbors.indices[offsets[start]:offsets[stop]]
     ctr_row = np.repeat(np.arange(len(sel)), seg_counts)
 
     nbr = points[flat]
-    mean = np.add.reduceat(nbr, offsets, axis=0) / seg_counts[:, None]
+    mean = np.add.reduceat(nbr, seg_starts, axis=0) / seg_counts[:, None]
     d = nbr - mean[ctr_row]
 
     # neighborhood covariance and PCA frame
-    cov = np.add.reduceat(d[:, :, None] * d[:, None, :], offsets, axis=0)
+    cov = np.add.reduceat(d[:, :, None] * d[:, None, :], seg_starts, axis=0)
     cov /= seg_counts[:, None, None]
     eigval, eigvec = np.linalg.eigh(cov)
     scale = eigval[:, 2]
@@ -95,8 +94,8 @@ def _fit_chunk(points, neighbor_lists, centers, counts, start, stop,
     x, y, z = local[:, 0], local[:, 1], local[:, 2]
     design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=1)
     ata = np.add.reduceat(design[:, :, None] * design[:, None, :],
-                          offsets, axis=0)
-    atb = np.add.reduceat(design * z[:, None], offsets, axis=0)
+                          seg_starts, axis=0)
+    atb = np.add.reduceat(design * z[:, None], seg_starts, axis=0)
 
     enough = (seg_counts >= _MIN_QUADRIC_POINTS) & ~bad
     # tiny relative ridge keeps near-singular systems solvable
@@ -127,27 +126,22 @@ def _fit_chunk(points, neighbor_lists, centers, counts, start, stop,
     plane_fallback[sel[use_p]] = True
 
 
-def estimate_normals(cloud: PointCloud, radius: float, return_stats=False,
-                     index: SpatialIndex = None):
+def estimate_normals(cloud: PointCloud, radius: float,
+                     index: SpatialIndex = None) -> PointCloud:
     """Estimate unit normals by quadric fitting over radius neighborhoods.
 
     Signs are chosen so each normal points away from the bounding-box
     centroid (non-negative dot with centroid-to-point vector). Returns a
-    new cloud; optionally also (n_plane_fallback, n_degenerate) counts.
-    An index already built over the cloud may be passed for reuse.
+    new cloud. An index already built over the cloud may be passed for
+    reuse.
     """
     index = index or build_index(cloud)
-    lists = [idx for idx, _ in
-             index.radius_batch(cloud.positions, float(radius))]
-    fit = fit_local_surfaces(cloud.positions, lists, cloud.positions)
+    fit = fit_local_surfaces(
+        cloud.positions, index.radius_batch(cloud.positions, float(radius)),
+        cloud.positions)
 
     centroid = bounding_box(cloud).centroid
     outward = cloud.positions - centroid
     flip = np.einsum("ij,ij->i", fit.normals, outward) < 0.0
     normals = np.where(flip[:, None], -fit.normals, fit.normals)
-
-    result = cloud.with_normals(normals)
-    if return_stats:
-        return result, (int(fit.plane_fallback.sum()),
-                        int(fit.degenerate.sum()))
-    return result
+    return cloud.with_normals(normals)

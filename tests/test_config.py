@@ -65,6 +65,13 @@ def test_bad_value_types(tmp_path):
         load_config(str(path))
 
 
+def test_nan_float_is_rejected(tmp_path):
+    path = tmp_path / "settings.ini"
+    path.write_text("[psnr]\nnormal_radius = nan\n")
+    with pytest.raises(ConfigMismatch):
+        load_config(str(path))
+
+
 def test_hash_covers_semantic_fields_only():
     base = config_hash(Config())
     assert len(base) == 12 and int(base, 16) >= 0

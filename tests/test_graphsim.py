@@ -99,6 +99,12 @@ def test_scale_weights_must_match():
         msgraphsim_score(cloud, cloud, scales=(0, 1), scale_weights=(1.0,))
 
 
+def test_nan_radius_is_rejected():
+    cloud = surface_cloud(200, seed=10)
+    with pytest.raises(ValueError):
+        msgraphsim_score(cloud, cloud, radius=float("nan"))
+
+
 def test_scales_are_scored_independently_and_reference_is_reusable():
     # a scale's similarities do not depend on which other scales run
     ref = surface_cloud(400, seed=12)

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcqkit.cloud import PointCloud
-from pcqkit.spatial import build_index, knn_query, radius_query
+from pcqkit.spatial import build_index
 
 
 def brute_knn(points, queries, k):
@@ -52,10 +54,15 @@ def test_radius_matches_brute_force_exactly():
         n = int(rng.integers(1, 400))
         points = rng.uniform(-10, 10, size=(n, 3))
         queries = rng.uniform(-12, 12, size=(20, 3))
+        queries[int(rng.integers(0, 20))] = 1e3    # a far-off, empty row
         r = float(rng.uniform(0.5, 8.0))
         index = build_index(PointCloud(points))
         hoods = index.radius_batch(queries, r, sort_by_distance=True)
         oracle = brute_radius(points, queries, r)
+        assert len(hoods) == len(oracle)
+        assert hoods.offsets[0] == 0
+        assert hoods.offsets[-1] == len(hoods.indices)
+        assert (hoods.counts == 0).any()
         for hood, (oidx, odst) in zip(hoods, oracle):
             assert np.array_equal(hood[0], oidx)
             assert np.array_equal(hood[1], odst)
@@ -82,13 +89,46 @@ def test_single_point_cloud():
     assert idx.shape == (1, 1) and dst[0, 0] == 0.0
 
 
+def test_radius_rejects_nan_radius():
+    index = build_index(PointCloud(np.zeros((3, 3))))
+    with pytest.raises(ValueError):
+        index.radius_batch(np.zeros((2, 3)), np.nan)
+    with pytest.raises(ValueError):
+        index.radius_batch(np.zeros((2, 3)), [1.0, np.nan])
+
+
 def test_contract_wrappers(small_surface):
+    # the single-query contract, read through the batch API
     index = build_index(small_surface)
-    hood = knn_query(index, small_surface.positions[0], k=4)
-    assert hood.indices.shape == (4,)
-    assert hood.distances[0] == 0.0
-    hood = radius_query(index, small_surface.positions[0], 15.0)
-    assert (hood.distances <= 15.0).all()
+    idx, dst = index.knn_batch(small_surface.positions[0], k=4)
+    assert idx.shape == (1, 4)
+    assert idx[0, 0] == 0 and dst[0, 0] == 0.0
+    hoods = index.radius_batch(small_surface.positions[0], 15.0,
+                               sort_by_distance=True)
+    assert len(hoods) == 1
+    (hidx, hdst), = hoods
+    assert hidx[0] == 0 and hdst[0] == 0.0
+    assert (hdst <= 15.0).all() and (np.diff(hdst) >= 0).all()
+    with pytest.raises(IndexError):
+        hoods[1]
+
+
+def test_knn_memory_on_coincident_points_is_bounded():
+    # 500 points on one voxel give 500 tied candidates each; padding every
+    # row to the widest one made this peak at about 240 MB
+    rng = np.random.default_rng(8)
+    points = np.vstack([rng.uniform(0, 100, size=(5000, 3)),
+                        np.full((500, 3), 50.0)])
+    index = build_index(PointCloud(points))
+    tracemalloc.start()
+    try:
+        idx, _ = index.knn_batch(points, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.shape == (5500, 12)
+    assert np.array_equal(idx[5000], np.arange(5000, 5012))
+    assert peak < 100e6, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_mean_nn_distance_matches_brute_force():
