@@ -6,14 +6,15 @@ from .cloud import BoundingBox, PointCloud, bounding_box, infer_bit_depth
 from .config import Config, load_config
 from .evaluation import correlation_stats, error_stats, evaluate, fit_logistic
 from .io_ply import load_ply, save_ply
-from .metrics.graphsim import graphsim_score, msgraphsim_score
+from .metrics.graphsim import msgraphsim_score
 from .metrics.pcqm import (build_correspondence, compute_pcqm_features,
                            pcqm_aggregate)
 from .metrics.pointssim import pointssim_score
 from .metrics.psnr import compute_d1, compute_d2, compute_yuv
-from .pipeline import (FEATURE_COLUMNS, FeatureTable, ReferenceContext,
-                       compute_pair_metrics, extract_features, load_manifest,
-                       read_features_csv, write_features_csv)
+from .pipeline import (FEATURE_COLUMNS, FeatureTable, compute_pair_metrics,
+                       extract_features, load_manifest, read_features_csv,
+                       write_features_csv)
+from .plan import PairPlan, ReferenceContext
 from .regression import (MODEL_REGISTRY, FusionModel, MinMaxScaler, RbfSvr,
                          RidgeRegression, group_kfold, make_model, rfe_rank)
 from .spatial import Neighbors, SpatialIndex, build_index
@@ -28,8 +29,8 @@ __all__ = [
     "compute_d1", "compute_d2", "compute_yuv",
     "pointssim_score",
     "build_correspondence", "compute_pcqm_features", "pcqm_aggregate",
-    "graphsim_score", "msgraphsim_score",
-    "FEATURE_COLUMNS", "FeatureTable", "ReferenceContext",
+    "msgraphsim_score",
+    "FEATURE_COLUMNS", "FeatureTable", "ReferenceContext", "PairPlan",
     "compute_pair_metrics",
     "extract_features", "load_manifest", "read_features_csv",
     "write_features_csv",

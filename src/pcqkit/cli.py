@@ -24,8 +24,8 @@ from .config import load_config
 from .errors import ConfigMismatch, PcqkitError
 from .evaluation import evaluate
 from .io_ply import load_ply
-from .pipeline import (FEATURE_COLUMNS, compute_pair_metrics, extract_features,
-                       feature_vector, join_scores, load_manifest,
+from .pipeline import (METRIC_FAMILIES, PairPlan, compute_pair_metrics,
+                       extract_features, join_scores, load_manifest,
                        read_features_csv, read_scores_csv, write_features_csv,
                        write_scores_csv)
 from .regression import (MODEL_ALIASES, MODEL_REGISTRY, FusionModel,
@@ -105,28 +105,20 @@ def _cmd_info(args):
     return 0
 
 
-_METRIC_KEYS = {
-    "d1": ("psnr_d1",),
-    "d2": ("psnr_d2",),
-    "yuv": ("psnr_y", "psnr_u", "psnr_v", "psnr_yuv"),
-    "pointssim": ("pointssim_lum", "pointssim_geo"),
-    "pcqm": tuple(f"pcqm_f{i}" for i in range(1, 9)) + ("pcqm",),
-    "graphsim": ("graphsim",),
-}
-
-
 def _cmd_metric(args):
     config = _config_from(args)
     ref = load_ply(args.ref)
     dist = load_ply(args.dist)
-    metrics = compute_pair_metrics(ref, dist, config)
     if args.metric == "all":
-        payload = metrics
-    elif args.metric == "msgraphsim":
-        payload = {k: v for k, v in metrics.items()
-                   if k.startswith("msgsim") or k == "msgraphsim"}
+        payload = compute_pair_metrics(ref, dist, config)
     else:
-        payload = {k: metrics[k] for k in _METRIC_KEYS[args.metric]}
+        # only the requested family runs, so only the queries it reads
+        family = "msgraphsim" if args.metric == "graphsim" else args.metric
+        payload = METRIC_FAMILIES[family](PairPlan.build(ref, dist, config))
+        if args.metric == "graphsim":
+            payload = {"graphsim": payload["graphsim"]}
+        elif args.metric == "msgraphsim":
+            del payload["graphsim"]
     _emit(payload, args.out)
     return 0
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import TableMissing
 
 # BT.709 / BT.601 luma coefficients (kr, kg, kb)
-_YCBCR_COEFFS = {
+YCBCR_MATRICES = {
     "bt709": (0.2126, 0.7152, 0.0722),
     "bt601": (0.299, 0.587, 0.114),
 }
@@ -47,7 +47,7 @@ def rgb_to_ycbcr(rgb, matrix: str = "bt709"):
     """
     rgb = np.asarray(rgb, dtype=np.float64)
     try:
-        kr, kg, kb = _YCBCR_COEFFS[matrix]
+        kr, kg, kb = YCBCR_MATRICES[matrix]
     except KeyError:
         raise ValueError(f"unknown YCbCr matrix {matrix!r}") from None
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]

@@ -15,7 +15,9 @@ import typing
 from dataclasses import dataclass
 from typing import Optional
 
+from .colorspace import YCBCR_MATRICES
 from .errors import ConfigMismatch
+from .metrics.pointssim import ESTIMATORS
 
 __all__ = ["Config", "load_config", "config_hash", "ENV_VAR"]
 
@@ -23,6 +25,13 @@ ENV_VAR = "PCQKIT_CONFIG"
 
 # fields that do not alter computed values: excluded from the hash
 _OPERATIONAL = {"pipeline_jobs", "pipeline_cache_dir", "pipeline_seed"}
+
+# fields that take one of a fixed set of values
+_CHOICES = {
+    "psnr_ycbcr_matrix": tuple(YCBCR_MATRICES),
+    "psnr_yuv_symmetric": ("mse", "psnr"),
+    "pointssim_estimator": tuple(ESTIMATORS),
+}
 
 
 @dataclass
@@ -111,8 +120,9 @@ def load_config(path: Optional[str] = None, overrides: dict = None) -> Config:
     """Build a Config from defaults, an optional INI file, and overrides.
 
     When path is None the PCQKIT_CONFIG environment variable is
-    consulted. Unknown sections or keys in the file are an error; the
-    overrides dict uses field names directly.
+    consulted. Unknown sections or keys in the file are an error, and so
+    is a value outside its field's choices; the overrides dict uses field
+    names directly.
     """
     config = Config()
     if path is None:
@@ -135,4 +145,9 @@ def load_config(path: Optional[str] = None, overrides: dict = None) -> Config:
             raise ConfigMismatch(f"unknown config field {name!r}")
         if value is not None:
             setattr(config, name, value)
+    for name, allowed in _CHOICES.items():
+        if getattr(config, name) not in allowed:
+            raise ConfigMismatch(
+                f"{name}: expected one of {', '.join(allowed)}, "
+                f"got {getattr(config, name)!r}")
     return config

@@ -7,24 +7,23 @@ keypoint a local graph is built in both clouds; Gaussian color model
 signals on the graph give weighted gradient features whose SIM ratios
 multiply into a per-keypoint score. Coarser scales keep every 2^s-th
 member of the distance-sorted neighborhood and contract it toward the
-bounding-box centroid. 1 means identical.
+bounding-box centroid. 1 means identical. The entry point,
+msgraphsim_score, reads the keypoint neighborhoods and the settings from
+a PairPlan.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from ..cloud import PointCloud, bounding_box
 from ..colorspace import rgb_to_gaussian
-from ..errors import AllKeypointsEmpty, SettingsMismatch
-from ..spatial import SpatialIndex, build_index
+from ..errors import AllKeypointsEmpty
 
 SIM_KINDS = ("mg", "ug", "cg")
 
-DEFAULT_T = (0.001, 0.001, 0.001)
-DEFAULT_CHANNEL_WEIGHTS = (6.0, 1.0, 1.0)
+CHANNEL_WEIGHTS = (6.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -48,21 +47,16 @@ class GradientFeatures:
         return cls(z, z.copy(), z.copy(), np.zeros((0, channels)))
 
 
-def graph_filter_response(cloud: PointCloud, k_graph: int = 10,
-                          index: SpatialIndex = None,
-                          knn=None) -> np.ndarray:
+def graph_filter_response(cloud: PointCloud, knn, k_graph: int) -> np.ndarray:
     """High-pass response: distance to the mean of the k nearest others.
 
-    knn: a self query of the cloud with k_graph + 1 or more columns,
-    reused instead of a new query.
+    knn: (indices, distances) of a self query of the cloud with
+    k_graph + 1 or more columns.
     """
     n = len(cloud)
     k = min(k_graph, n - 1)
     if k < 1:
         return np.zeros(n)
-    if knn is None:
-        index = index or build_index(cloud)
-        knn = index.knn_batch(cloud.positions, k + 1)
     idx = knn[0][:, :k + 1]
     self_col = np.where((idx == np.arange(n)[:, None]).any(axis=1),
                         (idx == np.arange(n)[:, None]).argmax(axis=1), 0)
@@ -72,14 +66,14 @@ def graph_filter_response(cloud: PointCloud, k_graph: int = 10,
     return np.linalg.norm(cloud.positions - mean, axis=1)
 
 
-def extract_keypoints(cloud: PointCloud, fraction: float = 0.1,
-                      k_graph: int = 10,
-                      index: SpatialIndex = None,
-                      knn=None) -> KeypointSet:
-    """Top ceil(fraction * n) points by response, ties by ascending index."""
+def extract_keypoints(cloud: PointCloud, knn, config) -> KeypointSet:
+    """Top ceil(graphsim_keypoint_fraction * n) points by response
+    (graph_filter_response with k_graph = graphsim_k), ties by ascending
+    index."""
+    fraction = config.graphsim_keypoint_fraction
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
-    responses = graph_filter_response(cloud, k_graph, index, knn)
+    responses = graph_filter_response(cloud, knn, config.graphsim_k)
     n = len(responses)
     order = np.lexsort((np.arange(n), -responses))
     count = int(math.ceil(fraction * n))
@@ -104,22 +98,19 @@ def scale_transform(member_positions, scale: int, centroid):
     return kept, moved
 
 
-def _graph_features(positions, signals, center_pos, smoothing=True,
-                    sigma=None) -> GradientFeatures:
+def _graph_features(positions, signals, center_pos,
+                    smoothing: bool) -> GradientFeatures:
     """Gradient features of one graph whose members are distance-sorted.
 
     The first member carries the center signal; remaining members
     contribute gradients sqrt(W)*(f - f_center) with Gaussian weights of
-    their distance to the center position (bandwidth sigma, self-tuned to
-    the mean member distance when not given).
+    their distance to the center position, the bandwidth being their
+    mean distance.
     """
     channels = signals.shape[1]
-    if len(positions) == 0:
-        return GradientFeatures.empty(channels)
     diff = positions - center_pos
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if sigma is None:
-        sigma = float(d[1:].mean()) if len(d) > 1 else 0.0
+    sigma = float(d[1:].mean()) if len(d) > 1 else 0.0
     if sigma > 0.0:
         w = np.exp(-(d * d) / (sigma * sigma))
     else:
@@ -146,8 +137,9 @@ def _graph_features(positions, signals, center_pos, smoothing=True,
 
 
 def graph_pair_sims(feat_ref: GradientFeatures, feat_dist: GradientFeatures,
-                    t=DEFAULT_T) -> np.ndarray:
-    """SIM_mg, SIM_ug, SIM_cg per channel, shape (3, c).
+                    t) -> np.ndarray:
+    """SIM_mg, SIM_ug, SIM_cg per channel, shape (3, c), with stabilizers
+    t = (T_mag, T_mean, T_cov).
 
     Gradient sequences of unequal length are zero-padded so a missing
     (hole) side is compared against a zero-gradient graph.
@@ -201,41 +193,33 @@ class GraphSimReference:
     centroid: np.ndarray    # bounding-box centroid of the reference
     features: list          # features[i][s]: GradientFeatures of keypoint
                             # i at scale s
-    scales: tuple
-    smoothing: bool
 
 
-def graphsim_reference(ref: PointCloud, scales=(0, 1, 2),
-                       keypoint_fraction: float = 0.1, k_graph: int = 10,
-                       radius: float = None, radius_factor: float = 2.0,
-                       smoothing: bool = True, color_matrix=None,
-                       ref_index: SpatialIndex = None,
-                       knn=None) -> GraphSimReference:
-    """Keypoints, graph radius and reference graph features at each scale.
+def graphsim_reference(ref: PointCloud, index, knn,
+                       config) -> GraphSimReference:
+    """Keypoints, graph radius and reference graph features at each of
+    the graphsim_n_scales scales.
 
-    The graph radius defaults to radius_factor times the mean NN
-    distance of the reference. knn: a self query of the reference with
-    max(2, k_graph + 1) or more columns, reused for that distance and
-    for the keypoint response.
+    index: the kd-tree of ref; knn: its self query with
+    max(2, graphsim_k + 1) or more columns. The graph radius is
+    graphsim_radius_factor times the mean distance from each reference
+    point to its nearest other point (the second column of knn).
     """
-    scales = tuple(int(s) for s in scales)
-    ref_index = ref_index or build_index(ref)
-    if radius is None:
-        radius = radius_factor * ref_index.mean_nn_distance(knn)
+    scales = range(config.graphsim_n_scales)
+    mean_nn = float(knn[1][:, 1].mean()) if len(ref) > 1 else 0.0
+    radius = config.graphsim_radius_factor * mean_nn
     if not radius > 0.0:
         raise ValueError(f"graph radius must be positive, got {radius}")
 
-    signals = rgb_to_gaussian(ref.require_colors("MS-GraphSIM"),
-                              color_matrix)
-    keypoints = extract_keypoints(ref, keypoint_fraction, k_graph,
-                                  ref_index, knn)
+    signals = rgb_to_gaussian(ref.require_colors("MS-GraphSIM"))
+    keypoints = extract_keypoints(ref, knn, config)
     kp_pos = ref.positions[keypoints.indices]
     centroid = bounding_box(ref).centroid
     centers = np.stack([kp_pos if s == 0
                         else centroid + (kp_pos - centroid) / 2 ** s
                         for s in scales])
     # each keypoint lies in its own graph, so no graph is empty
-    members = ref_index.radius_batch(kp_pos, radius, sort_by_distance=True)
+    members = index.radius_batch(kp_pos, radius, sort_by_distance=True)
     features = []
     for i, (idx, _) in enumerate(members):
         pos_all = ref.positions[idx]
@@ -243,56 +227,31 @@ def graphsim_reference(ref: PointCloud, scales=(0, 1, 2),
         for si, scale in enumerate(scales):
             kept, pos = scale_transform(pos_all, scale, centroid)
             row.append(_graph_features(pos, signals[idx[kept]],
-                                       centers[si, i], smoothing))
+                                       centers[si, i],
+                                       config.graphsim_smoothing))
         features.append(row)
     return GraphSimReference(float(radius), keypoints, centers, centroid,
-                             features, scales, bool(smoothing))
+                             features)
 
 
-def msgraphsim_score(ref: PointCloud, dist: PointCloud,
-                     scales=(0, 1, 2), scale_weights=None,
-                     keypoint_fraction: float = 0.1, k_graph: int = 10,
-                     radius: float = None, radius_factor: float = 2.0,
-                     t=DEFAULT_T, smoothing: bool = True,
-                     channel_weights=DEFAULT_CHANNEL_WEIGHTS,
-                     color_matrix=None,
-                     ref_index: SpatialIndex = None,
-                     dist_index: SpatialIndex = None,
-                     reference: GraphSimReference = None) -> GraphSimScore:
-    """Multi-scale graph similarity of dist against ref.
+def msgraphsim_score(plan) -> GraphSimScore:
+    """Multi-scale graph similarity of a PairPlan's dist against its ref.
 
-    The graph radius defaults to radius_factor times the mean NN distance
-    of the reference. Keypoints with an empty dist-side graph at some
-    scale are scored against a zero-feature graph (holes must hurt the
-    score, not vanish from it). reference: graphsim_reference() of ref
-    under the same settings; it supplies the keypoints and the radius.
+    Keypoints with an empty dist-side graph at some scale are scored
+    against a zero-feature graph (holes must hurt the score, not vanish
+    from it).
     """
-    scales = tuple(int(s) for s in scales)
-    weights = (np.full(len(scales), 1.0 / len(scales))
-               if scale_weights is None
-               else np.asarray(scale_weights, dtype=np.float64))
-    if weights.shape != (len(scales),):
-        raise ValueError("scale_weights must match scales")
-    cw = np.asarray(channel_weights, dtype=np.float64)
-
-    if reference is None:
-        reference = graphsim_reference(
-            ref, scales, keypoint_fraction, k_graph, radius, radius_factor,
-            smoothing, color_matrix, ref_index)
-    elif (reference.scales, reference.smoothing) != (scales, bool(smoothing)):
-        raise SettingsMismatch(
-            "GraphSIM reference was built for other scales or smoothing")
-    dist_index = dist_index or build_index(dist)
-    sig_dist = rgb_to_gaussian(dist.require_colors("MS-GraphSIM"),
-                               color_matrix)
-    dist_nbrs = dist_index.radius_batch(
-        ref.positions[reference.keypoints.indices], reference.radius,
-        sort_by_distance=True)
+    config, dist, reference = plan.config, plan.dist, plan.reference.graphsim
+    scales = tuple(range(config.graphsim_n_scales))
+    weights = np.full(len(scales), 1.0 / len(scales))
+    cw = np.asarray(CHANNEL_WEIGHTS, dtype=np.float64)
+    t = (config.graphsim_t_mag, config.graphsim_t_mean, config.graphsim_t_cov)
+    sig_dist = rgb_to_gaussian(dist.require_colors("MS-GraphSIM"))
 
     n_kp = len(reference.keypoints.indices)
     sims = np.zeros((n_kp, len(scales), 3, 3))      # kp, scale, kind, channel
     empty_dist = 0
-    for i, (d_idx, _) in enumerate(dist_nbrs):
+    for i, (d_idx, _) in enumerate(plan.graphsim_neighbors):
         d_pos_all = dist.positions[d_idx]
         for si, scale in enumerate(scales):
             if len(d_idx) == 0:
@@ -303,7 +262,8 @@ def msgraphsim_score(ref: PointCloud, dist: PointCloud,
                 kept_d, pos_d = scale_transform(d_pos_all, scale,
                                                 reference.centroid)
                 feat_d = _graph_features(pos_d, sig_dist[d_idx[kept_d]],
-                                         reference.centers[si, i], smoothing)
+                                         reference.centers[si, i],
+                                         config.graphsim_smoothing)
             sims[i, si] = graph_pair_sims(reference.features[i][si], feat_d,
                                           t)
 
@@ -323,9 +283,3 @@ def msgraphsim_score(ref: PointCloud, dist: PointCloud,
     overall = float(per_scale @ weights / weights.sum())
     return GraphSimScore(per_scale, overall, kind_means, scales,
                          n_kp, empty_dist)
-
-
-def graphsim_score(ref: PointCloud, dist: PointCloud, **kwargs) -> float:
-    """Single-scale GraphSIM: scale 0 of the multi-scale score."""
-    kwargs.setdefault("scales", (0,))
-    return float(msgraphsim_score(ref, dist, **kwargs).per_scale[0])

@@ -10,7 +10,9 @@ eight bounded comparison features:
     f4, f5, f6  lightness mean / contrast / structure  (1 = identical)
     f7, f8      chroma and hue comparison  (1 = identical)
 
-plus a weighted aggregate distance (0 = identical).
+plus a weighted aggregate distance (0 = identical). The entry point,
+compute_pcqm_features, reads the radius-h queries, the nearest matches
+and the settings from a PairPlan.
 """
 
 from dataclasses import dataclass
@@ -20,20 +22,13 @@ import numpy as np
 
 from ..cloud import PointCloud
 from ..colorspace import Lab2000HLTable, rgb_to_perceptual
-from ..errors import SettingsMismatch, UnknownFeatureName
-from ..spatial import SpatialIndex, build_index
+from ..errors import UnknownFeatureName
 from ..surface import fit_local_surfaces
 
 FEATURE_NAMES = ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8")
 
 # distance-form features read 0 = identical; the rest are similarities
 _DISTANCE_FORM = frozenset(("f1", "f2", "f3"))
-
-DEFAULT_CONSTANTS = {
-    "k1": 1e-8, "k2": 1e-8, "k3": 1e-8,   # ratio stabilizers (curvature)
-    "k4": 0.002, "k5": 1e-8, "k6": 1e-8,  # lightness
-    "k7": 0.002, "k8": 0.002,             # chroma / hue sensitivity
-}
 
 DEFAULT_AGGREGATE_WEIGHTS = {"f3": 0.18, "f4": 0.44, "f6": 0.38}
 
@@ -54,28 +49,18 @@ class Correspondence:
     degenerates: int
 
 
-def build_correspondence(ref: PointCloud, dist: PointCloud, h: float,
-                         table: Optional[Lab2000HLTable] = None,
-                         dist_index: SpatialIndex = None,
-                         neighbors=None, nearest=None) -> Correspondence:
-    """Sample the dist surface at every ref point.
+def build_correspondence(ref: PointCloud, source: PointCloud, neighbors,
+                         nearest, h: float,
+                         table: Optional[Lab2000HLTable]) -> Correspondence:
+    """Sample the source surface at every ref point.
 
-    Curvature comes from a quadric fitted to the dist points within h of
-    each ref point; color comes from the exact nearest dist point. With
-    dist = ref this reproduces the reference's own fields. Queries
-    already made may be passed: neighbors, the radius-h query of the ref
-    points in dist (a radius_batch result), and nearest, the index of
-    the nearest dist point of every ref point.
+    Curvature comes from a quadric fitted to each row of neighbors, the
+    source points within h of a ref point; color comes from the source
+    point nearest (one source index per ref point). With source = ref
+    this reproduces the reference's own fields.
     """
-    colors = dist.require_colors("PCQM correspondence")
-    if neighbors is None or nearest is None:
-        dist_index = dist_index or build_index(dist)
-    if neighbors is None:
-        neighbors = dist_index.radius_batch(ref.positions, float(h))
-    fit = fit_local_surfaces(dist.positions, neighbors, ref.positions)
-
-    if nearest is None:
-        nearest, _ = dist_index.nearest_batch(ref.positions)
+    colors = source.require_colors("PCQM correspondence")
+    fit = fit_local_surfaces(source.positions, neighbors, ref.positions)
     lab = rgb_to_perceptual(colors[nearest], table)
     a, b = lab[:, 1], lab[:, 2]
     return Correspondence(
@@ -129,34 +114,29 @@ class _Segments:
         return self.cov(field, mean, field, mean)
 
 
-def compute_pcqm_features(corr_ref: Correspondence,
-                          corr_dist: Correspondence,
-                          constants: dict = None,
-                          ref_index: SpatialIndex = None,
-                          neighbors=None) -> PcqmFeatures:
-    """Pooled f1..f8 from two correspondences built with the same h.
+def compute_pcqm_features(plan) -> PcqmFeatures:
+    """Pooled f1..f8 of a PairPlan: the dist surface sampled at every
+    ref point, compared with the reference's own fields."""
+    reference = plan.reference
+    corr_ref = reference.corr
+    corr_dist = build_correspondence(
+        plan.ref, plan.dist, plan.pcqm_neighbors, plan.nearest_backward[0],
+        reference.pcqm_radius, reference.lab_table)
+    return pcqm_compare(corr_ref, corr_dist, reference.pcqm_neighbors,
+                        plan.config)
 
-    neighbors: the radius-h self query of the reference points (a
-    radius_batch result), when already made.
+
+def pcqm_compare(corr_ref: Correspondence, corr_dist: Correspondence,
+                 neighbors, config) -> PcqmFeatures:
+    """Pooled f1..f8 from two correspondences over the same reference
+    points and h, with constants config.pcqm_k1..pcqm_k8.
+
+    neighbors: the radius-h self query of the reference points.
     """
-    if corr_ref.radius != corr_dist.radius:
-        raise SettingsMismatch(
-            f"correspondence radii differ: {corr_ref.radius} vs "
-            f"{corr_dist.radius}")
-    if corr_ref.color_mode != corr_dist.color_mode:
-        raise SettingsMismatch("correspondence color modes differ")
-    if not np.array_equal(corr_ref.positions, corr_dist.positions):
-        raise SettingsMismatch(
-            "correspondences were built over different reference points")
-
-    k = dict(DEFAULT_CONSTANTS)
-    if constants:
-        k.update(constants)
     h = corr_ref.radius
-    if neighbors is None:
-        index = ref_index or build_index(corr_ref.positions)
-        neighbors = index.radius_batch(corr_ref.positions, h)
     seg = _Segments(neighbors, sigma=h / 3.0)
+    k1, k2, k3, k4, k5, k6, k7, k8 = (getattr(config, f"pcqm_k{i}")
+                                      for i in range(1, 9))
 
     mu_rho_r = seg.mean(corr_ref.curvature)
     mu_rho_d = seg.mean(corr_dist.curvature)
@@ -184,16 +164,16 @@ def compute_pcqm_features(corr_ref: Correspondence,
     prod_rho = np.sqrt(var_rho_r * var_rho_d)
     prod_l = np.sqrt(var_l_r * var_l_d)
 
-    f1 = np.abs(mu_rho_r - mu_rho_d) / (np.maximum(mu_rho_r, mu_rho_d) + k["k1"])
-    f2 = np.abs(sd_rho_r - sd_rho_d) / (np.maximum(sd_rho_r, sd_rho_d) + k["k2"])
-    f3 = np.abs(prod_rho - cov_rho) / (prod_rho + k["k3"])
+    f1 = np.abs(mu_rho_r - mu_rho_d) / (np.maximum(mu_rho_r, mu_rho_d) + k1)
+    f2 = np.abs(sd_rho_r - sd_rho_d) / (np.maximum(sd_rho_r, sd_rho_d) + k2)
+    f3 = np.abs(prod_rho - cov_rho) / (prod_rho + k3)
     dl = mu_l_r - mu_l_d
-    f4 = 1.0 / (k["k4"] * dl * dl + 1.0)
-    f5 = (2.0 * prod_l + k["k5"]) / (var_l_r + var_l_d + k["k5"])
-    f6 = (cov_l + k["k6"]) / (prod_l + k["k6"])
+    f4 = 1.0 / (k4 * dl * dl + 1.0)
+    f5 = (2.0 * prod_l + k5) / (var_l_r + var_l_d + k5)
+    f6 = (cov_l + k6) / (prod_l + k6)
     dcm = mu_c_r - mu_c_d
-    f7 = 1.0 / (k["k7"] * dcm * dcm + 1.0)
-    f8 = 1.0 / (k["k8"] * mean_dh * mean_dh + 1.0)
+    f7 = 1.0 / (k7 * dcm * dcm + 1.0)
+    f8 = 1.0 / (k8 * mean_dh * mean_dh + 1.0)
 
     stacked = np.clip(np.stack([f1, f2, f3, f4, f5, f6, f7, f8]), 0.0, 1.0)
     return PcqmFeatures(stacked.mean(axis=1), len(corr_ref.positions), h,

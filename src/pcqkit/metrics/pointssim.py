@@ -7,7 +7,9 @@ the dispersion of its nearest reference point:
 
     S(p) = |F_ref(q) - F_dist(p)| / (max(|F_ref(q)|, |F_dist(p)|) + eps)
 
-and pooled as the mean of S^pooling_exponent. 0 means identical.
+and pooled as the mean of S^pooling_exponent. 0 means identical. The
+entry point, pointssim_score, reads both k-NN self queries, the nearest
+matches and the settings from a PairPlan.
 """
 
 from dataclasses import dataclass
@@ -16,8 +18,6 @@ import numpy as np
 
 from ..cloud import PointCloud
 from ..colorspace import luminance
-from ..errors import SettingsMismatch
-from ..spatial import SpatialIndex, build_index
 
 EPS = 1e-9
 
@@ -75,26 +75,23 @@ class DispersionField:
     k: int
 
 
-def extract_dispersion(cloud: PointCloud, attribute: str = "luminance",
-                       estimator: str = "variance", k: int = 12,
-                       index: SpatialIndex = None,
-                       knn=None) -> DispersionField:
-    """Dispersion of an attribute over each point's k-NN neighborhood.
+def extract_dispersion(cloud: PointCloud, knn, attribute: str,
+                       config) -> DispersionField:
+    """Dispersion of an attribute over each point's k-NN neighborhood,
+    k = config.pointssim_k.
 
-    The neighborhood includes the point itself; k larger than the cloud
-    saturates to the whole cloud. knn: (indices, distances) of a self
-    query of the cloud with k or more columns, reused instead of a new
-    query; its first k columns equal a k-query.
+    knn: (indices, distances) of a self query of the cloud with k or
+    more columns; its first k columns equal a k-query. The neighborhood
+    includes the point itself; k larger than the cloud saturates to the
+    whole cloud.
     """
     if attribute not in _ATTRIBUTES:
         raise ValueError(f"unknown attribute {attribute!r}")
+    estimator, k = config.pointssim_estimator, config.pointssim_k
     try:
         fn = ESTIMATORS[estimator]
     except KeyError:
         raise ValueError(f"unknown estimator {estimator!r}") from None
-    if knn is None:
-        index = index or build_index(cloud)
-        knn = index.knn_batch(cloud.positions, k)
     idx, dst = (np.ascontiguousarray(a[:, :k]) for a in knn)
     if attribute == "geometry":
         rows = dst
@@ -103,39 +100,22 @@ def extract_dispersion(cloud: PointCloud, attribute: str = "luminance",
     return DispersionField(fn(rows), attribute, estimator, int(k))
 
 
-def pointssim_score(ref: PointCloud, dist: PointCloud,
-                    attribute: str = "luminance",
-                    estimator: str = "variance", k: int = 12,
-                    pooling_exponent: float = 1.0,
-                    ref_field: DispersionField = None,
-                    dist_field: DispersionField = None,
-                    ref_index: SpatialIndex = None,
-                    dist_index: SpatialIndex = None,
-                    nearest=None) -> float:
-    """Pooled dissimilarity of dist against ref for one attribute.
-
-    Precomputed fields may be passed to reuse work across attributes;
-    they must have been extracted under identical settings. nearest:
-    the index of the nearest ref point of every dist point.
+def pointssim_pool(ref_field: DispersionField, dist_field: DispersionField,
+                   nearest, exponent: float) -> float:
+    """Mean of S^exponent over the dist points, each compared against
+    its nearest reference point (nearest: one ref index per dist point).
     """
-    ref_index = ref_index or build_index(ref)
-    if ref_field is None:
-        ref_field = extract_dispersion(ref, attribute, estimator, k,
-                                       ref_index)
-    if dist_field is None:
-        dist_field = extract_dispersion(dist, attribute, estimator, k,
-                                        dist_index or build_index(dist))
-    for name in ("attribute", "estimator", "k"):
-        if getattr(ref_field, name) != getattr(dist_field, name):
-            raise SettingsMismatch(
-                f"dispersion fields disagree on {name}: "
-                f"{getattr(ref_field, name)!r} vs {getattr(dist_field, name)!r}")
-    if len(dist_field.values) != len(dist):
-        raise SettingsMismatch("dist field does not match the dist cloud")
-
-    if nearest is None:
-        nearest, _ = ref_index.nearest_batch(dist.positions)
     fx = ref_field.values[nearest]
     fy = dist_field.values
     s = np.abs(fx - fy) / (np.maximum(np.abs(fx), np.abs(fy)) + EPS)
-    return float(np.mean(s ** pooling_exponent))
+    return float(np.mean(s ** exponent))
+
+
+def pointssim_score(plan, attribute: str) -> float:
+    """Pooled dissimilarity of a PairPlan's dist against its ref for one
+    attribute ("luminance" or "geometry")."""
+    ref_field = plan.reference.fields[attribute]
+    dist_field = extract_dispersion(plan.dist, plan.dist_knn, attribute,
+                                    plan.config)
+    return pointssim_pool(ref_field, dist_field, plan.nearest_forward[0],
+                          plan.config.pointssim_pooling_exponent)

@@ -18,29 +18,25 @@ import json
 import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cloud import PointCloud, bounding_box
-from .colorspace import Lab2000HLTable, rgb_to_ycbcr
+from .cloud import PointCloud
 from .config import Config
-from .errors import (BadMosValue, ConfigMismatch, IoFailure, JoinMismatch,
-                     MissingColumn, PcqkitError, SchemaMismatch,
-                     SettingsMismatch)
+from .errors import (BadMosValue, IoFailure, JoinMismatch, MissingColumn,
+                     PcqkitError, SchemaMismatch)
 from .io_ply import load_ply
-from .metrics.graphsim import (GraphSimReference, graphsim_reference,
-                               msgraphsim_score)
-from .metrics.pcqm import (Correspondence, build_correspondence,
-                           compute_pcqm_features, pcqm_aggregate)
-from .metrics.pointssim import extract_dispersion, pointssim_score
-from .metrics.psnr import (compute_d1, compute_d2, compute_yuv,
-                           ensure_normals, nearest_matches)
-from .spatial import Neighbors, SpatialIndex, build_index
+from .metrics.graphsim import SIM_KINDS, msgraphsim_score
+from .metrics.pcqm import compute_pcqm_features, pcqm_aggregate
+from .metrics.pointssim import pointssim_score
+from .metrics.psnr import compute_d1, compute_d2, compute_yuv
+from .plan import PairPlan, ReferenceContext
 
 __all__ = ["FEATURE_COLUMNS", "ManifestRow", "load_manifest",
-           "ReferenceContext", "compute_pair_metrics", "feature_vector",
+           "ReferenceContext", "PairPlan", "METRIC_FAMILIES",
+           "compute_pair_metrics", "feature_vector",
            "FeatureTable", "extract_features", "write_features_csv",
            "read_features_csv", "write_scores_csv", "read_scores_csv",
            "join_scores"]
@@ -125,79 +121,39 @@ def load_manifest(path: str):
 # ---------------------------------------------------------------------------
 # per-pair computation
 
-@dataclass(frozen=True)
-class ReferenceContext:
-    """Every result of compute_pair_metrics that depends on the reference
-    alone, built once and reused for each of its distortions.
+def _yuv(plan):
+    yuv = compute_yuv(plan)
+    return {"psnr_y": yuv.y.psnr_db, "psnr_u": yuv.u.psnr_db,
+            "psnr_v": yuv.v.psnr_db, "psnr_yuv": yuv.psnr_combined}
 
-    One self k-NN query (k = max(pointssim_k, graphsim_k + 1, 2)) feeds
-    every self-neighbor lookup: rows of knn_batch are sorted by
-    (distance, index), so its first j columns equal a j-query.
-    """
 
-    cloud: PointCloud        # the reference, at the configured bit depth
-    config_hash: str
-    index: SpatialIndex
-    with_normals: PointCloud  # given or estimated normals, for D2
-    ycc: np.ndarray          # YCbCr colors, for YUV PSNR
-    fields: dict             # attribute -> PointSSIM DispersionField
-    lab_table: Optional[Lab2000HLTable]
-    pcqm_neighbors: Neighbors  # radius-h self query
-    corr: Correspondence     # build_correspondence(ref, ref)
-    graphsim: GraphSimReference
+def _pcqm(plan):
+    pcqm = compute_pcqm_features(plan)
+    out = {f"pcqm_{name}": value for name, value in pcqm.as_dict().items()}
+    out["pcqm"] = pcqm_aggregate(pcqm)
+    return out
 
-    @classmethod
-    def build(cls, ref: PointCloud, config: Config = None):
-        """The context of ref under config (default Config())."""
-        config = config or Config()
-        if config.graphsim_n_scales < 3:
-            raise ConfigMismatch(
-                "graphsim_n_scales must be at least 3 to fill the feature set")
-        if config.cloud_bit_depth is not None:
-            ref = replace(ref, bit_depth=config.cloud_bit_depth)
-        index = build_index(ref)
-        knn = index.knn_batch(
-            ref.positions, max(config.pointssim_k, config.graphsim_k + 1, 2))
-        with_normals = ensure_normals(ref, config.psnr_normal_radius, index)
-        ycc = rgb_to_ycbcr(ref.require_colors("YUV PSNR"),
-                           config.psnr_ycbcr_matrix)
-        fields = {attribute: extract_dispersion(
-                      ref, attribute, config.pointssim_estimator,
-                      config.pointssim_k, knn=knn)
-                  for attribute in ("luminance", "geometry")}
-        table = (Lab2000HLTable.load(config.pcqm_lab_table)
-                 if config.pcqm_lab_table else None)
-        h = config.pcqm_radius_factor * bounding_box(ref).diagonal
-        neighbors = index.radius_batch(ref.positions, h)
-        corr = build_correspondence(ref, ref, h, table, index,
-                                    neighbors=neighbors, nearest=knn[0][:, 0])
-        graphsim = graphsim_reference(
-            ref, scales=range(config.graphsim_n_scales),
-            keypoint_fraction=config.graphsim_keypoint_fraction,
-            k_graph=config.graphsim_k,
-            radius_factor=config.graphsim_radius_factor,
-            smoothing=config.graphsim_smoothing, ref_index=index, knn=knn)
-        return cls(ref, config.hash, index, with_normals, ycc, fields, table,
-                   neighbors, corr, graphsim)
 
-    def check(self, ref: PointCloud, config: Config):
-        """Raise SettingsMismatch unless built for this cloud and config."""
-        if config.hash != self.config_hash:
-            raise SettingsMismatch(
-                "reference context was built under another configuration")
-        bit_depth = (config.cloud_bit_depth
-                     if config.cloud_bit_depth is not None else ref.bit_depth)
-        mine = self.cloud
-        same = mine is ref or (
-            bit_depth == mine.bit_depth
-            and all(a is b or (a is not None and b is not None
-                               and np.array_equal(a, b))
-                    for a, b in ((ref.positions, mine.positions),
-                                 (ref.colors, mine.colors),
-                                 (ref.normals, mine.normals))))
-        if not same:
-            raise SettingsMismatch(
-                "reference context was built for another cloud")
+def _msgraphsim(plan):
+    gsim = msgraphsim_score(plan)
+    out = {f"msgsim_{kind}_s{s}": gsim.sim(kind, s)
+           for s in gsim.scales for kind in SIM_KINDS}
+    out["msgraphsim"] = gsim.overall
+    out["graphsim"] = float(gsim.per_scale[0])
+    return out
+
+
+# family -> function of a PairPlan giving that family's raw values
+METRIC_FAMILIES = {
+    "d1": lambda plan: {"psnr_d1": compute_d1(plan).psnr_db},
+    "d2": lambda plan: {"psnr_d2": compute_d2(plan).psnr_db},
+    "yuv": _yuv,
+    "pointssim": lambda plan: {
+        "pointssim_lum": pointssim_score(plan, "luminance"),
+        "pointssim_geo": pointssim_score(plan, "geometry")},
+    "pcqm": _pcqm,
+    "msgraphsim": _msgraphsim,
+}
 
 
 def compute_pair_metrics(ref: PointCloud, dist: PointCloud,
@@ -208,73 +164,12 @@ def compute_pair_metrics(ref: PointCloud, dist: PointCloud,
     PSNR entries are raw dB and may be +inf; feature_vector() applies
     the configured cap. reference: ReferenceContext.build(ref, config),
     to share the reference-side work across the distortions of one
-    reference; it is built here when not given. Each query on the
-    distorted cloud runs once and is shared across the metric families.
+    reference; it is built here when not given.
     """
-    config = config or Config()
-    if reference is None:
-        reference = ReferenceContext.build(ref, config)
-    else:
-        reference.check(ref, config)
-    ref = reference.cloud
-    if config.cloud_bit_depth is not None:
-        dist = replace(dist, bit_depth=config.cloud_bit_depth)
-    ref_index = reference.index
-    dist_index = build_index(dist)
-    matches = nearest_matches(ref, dist, ref_index, dist_index)
-    (nn_forward, _), (nn_backward, _) = matches
+    plan = PairPlan.build(ref, dist, config, reference)
     out = {}
-
-    d1 = compute_d1(ref, dist, matches=matches)
-    d2 = compute_d2(reference.with_normals, dist,
-                    normal_radius=config.psnr_normal_radius,
-                    dist_index=dist_index, matches=matches)
-    yuv = compute_yuv(ref, dist, matrix=config.psnr_ycbcr_matrix,
-                      cap_db=config.psnr_cap_db,
-                      symmetric=config.psnr_yuv_symmetric,
-                      matches=matches, ycc_ref=reference.ycc)
-    out["psnr_d1"] = d1.psnr_db
-    out["psnr_d2"] = d2.psnr_db
-    out["psnr_y"] = yuv.y.psnr_db
-    out["psnr_u"] = yuv.u.psnr_db
-    out["psnr_v"] = yuv.v.psnr_db
-    out["psnr_yuv"] = yuv.psnr_combined
-
-    est, k, pexp = (config.pointssim_estimator, config.pointssim_k,
-                    config.pointssim_pooling_exponent)
-    dist_knn = dist_index.knn_batch(dist.positions, k)
-    for attribute, name in (("luminance", "pointssim_lum"),
-                            ("geometry", "pointssim_geo")):
-        out[name] = pointssim_score(
-            ref, dist, attribute, est, k, pexp,
-            ref_field=reference.fields[attribute],
-            dist_field=extract_dispersion(dist, attribute, est, k,
-                                          knn=dist_knn),
-            ref_index=ref_index, nearest=nn_forward)
-
-    corr_ref = reference.corr
-    corr_dist = build_correspondence(ref, dist, corr_ref.radius,
-                                     reference.lab_table, dist_index,
-                                     nearest=nn_backward)
-    constants = {f"k{i}": getattr(config, f"pcqm_k{i}") for i in range(1, 9)}
-    pcqm = compute_pcqm_features(corr_ref, corr_dist, constants,
-                                 neighbors=reference.pcqm_neighbors)
-    for name, value in pcqm.as_dict().items():
-        out[f"pcqm_{name}"] = value
-    out["pcqm"] = pcqm_aggregate(pcqm)
-
-    scales = tuple(range(config.graphsim_n_scales))
-    gsim = msgraphsim_score(
-        ref, dist, scales=scales,
-        t=(config.graphsim_t_mag, config.graphsim_t_mean,
-           config.graphsim_t_cov),
-        smoothing=config.graphsim_smoothing,
-        dist_index=dist_index, reference=reference.graphsim)
-    for s in scales:
-        for kind in ("mg", "ug", "cg"):
-            out[f"msgsim_{kind}_s{s}"] = gsim.sim(kind, s)
-    out["msgraphsim"] = gsim.overall
-    out["graphsim"] = float(gsim.per_scale[0])
+    for family in METRIC_FAMILIES.values():
+        out.update(family(plan))
     return out
 
 

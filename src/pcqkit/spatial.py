@@ -107,15 +107,11 @@ class SpatialIndex:
         idx, dst = self.knn_batch(queries, k=1)
         return idx[:, 0], dst[:, 0]
 
-    def mean_nn_distance(self, knn=None):
-        """Mean distance from each point to its nearest other point.
-
-        knn: a self query of this index with two or more columns, whose
-        second column is then reused instead of a new query.
-        """
+    def mean_nn_distance(self):
+        """Mean distance from each point to its nearest other point."""
         if self.n < 2:
             return 0.0
-        _, dst = knn if knn is not None else self.knn_batch(self.positions, 2)
+        _, dst = self.knn_batch(self.positions, 2)
         return float(dst[:, 1].mean())
 
     def _query(self, queries, ask, keep, sort_by_distance):

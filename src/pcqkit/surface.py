@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cloud import PointCloud, bounding_box
-from .spatial import SpatialIndex, build_index
 
 _MIN_QUADRIC_POINTS = 6
 _ROWS_PER_CHUNK = 1_500_000
@@ -126,19 +125,16 @@ def _fit_chunk(points, neighbors, centers, start, stop,
     plane_fallback[sel[use_p]] = True
 
 
-def estimate_normals(cloud: PointCloud, radius: float,
-                     index: SpatialIndex = None) -> PointCloud:
-    """Estimate unit normals by quadric fitting over radius neighborhoods.
+def estimate_normals(cloud: PointCloud, neighbors) -> PointCloud:
+    """Estimate unit normals by quadric fitting over each point's
+    neighborhood, one Neighbors row per point (a radius query of the
+    cloud's own points).
 
     Signs are chosen so each normal points away from the bounding-box
     centroid (non-negative dot with centroid-to-point vector). Returns a
-    new cloud. An index already built over the cloud may be passed for
-    reuse.
+    new cloud.
     """
-    index = index or build_index(cloud)
-    fit = fit_local_surfaces(
-        cloud.positions, index.radius_batch(cloud.positions, float(radius)),
-        cloud.positions)
+    fit = fit_local_surfaces(cloud.positions, neighbors, cloud.positions)
 
     centroid = bounding_box(cloud).centroid
     outward = cloud.positions - centroid

@@ -22,15 +22,15 @@ from pcqkit.evaluation import (error_stats, evaluate, fit_logistic, logistic,
                                pearson, spearman)
 from pcqkit.io_ply import save_ply
 from pcqkit.metrics.graphsim import GradientFeatures, graph_pair_sims
-from pcqkit.metrics.pcqm import (Correspondence, compute_pcqm_features)
-from pcqkit.metrics.pointssim import DispersionField, pointssim_score
+from pcqkit.metrics.pcqm import Correspondence, pcqm_compare
+from pcqkit.metrics.pointssim import DispersionField, pointssim_pool
 from pcqkit.metrics.psnr import compute_d1, compute_d2, compute_yuv
-from pcqkit.pipeline import (FEATURE_COLUMNS, compute_pair_metrics,
+from pcqkit.pipeline import (FEATURE_COLUMNS, PairPlan, compute_pair_metrics,
                              feature_vector, read_features_csv)
 from pcqkit.regression import (MinMaxScaler, RbfSvr, RidgeRegression,
                                group_kfold, make_model, rbf_kernel, rfe_rank,
                                svr_dual_objective)
-from pcqkit.spatial import build_index
+from pcqkit.spatial import Neighbors, build_index
 
 from conftest import jitter, random_cloud, surface_cloud
 
@@ -136,31 +136,29 @@ def test_criterion_03_hand_values():
 
     ref = PointCloud(np.array([[0.0, 0.0, 0.0]]), bit_depth=10)
     dist = PointCloud(np.array([[3.0, 4.0, 2.0]]), bit_depth=10)
-    d1 = compute_d1(ref, dist).psnr_db
+    d1 = compute_d1(PairPlan.build(ref, dist)).psnr_db
     if abs(d1 - 50.344745) >= 1e-2:
         failures.append(f"d1 {d1}")
 
     normal = np.array([[0.0, 0.0, 1.0]])
     ref = PointCloud(ref.positions, normals=normal, bit_depth=10)
     dist = PointCloud(dist.positions, normals=normal, bit_depth=10)
-    d2 = compute_d2(ref, dist).psnr_db
+    d2 = compute_d2(PairPlan.build(ref, dist)).psnr_db
     if abs(d2 - 58.948125) >= 1e-2:
         failures.append(f"d2 {d2}")
 
     pos = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
     gray = lambda a, b: np.array([[a, a, a], [b, b, b]], dtype=float)
-    y = compute_yuv(PointCloud(pos, colors=gray(100, 100)),
-                    PointCloud(pos, colors=gray(110, 90))).y.psnr_db
+    y = compute_yuv(PairPlan.build(
+        PointCloud(pos, colors=gray(100, 100)),
+        PointCloud(pos, colors=gray(110, 90)))).y.psnr_db
     if abs(y - 28.130804) >= 1e-2:
         failures.append(f"psnr_y {y}")
 
-    single = PointCloud(np.array([[0.0, 0.0, 0.0]]))
-    score = pointssim_score(
-        single, single,
-        ref_field=DispersionField(np.array([2.0 / 3.0]), "luminance",
-                                  "variance", 12),
-        dist_field=DispersionField(np.array([38.0 / 3.0]), "luminance",
-                                   "variance", 12))
+    score = pointssim_pool(
+        DispersionField(np.array([2.0 / 3.0]), "luminance", "variance", 12),
+        DispersionField(np.array([38.0 / 3.0]), "luminance", "variance", 12),
+        np.array([0]), 1.0)
     if abs(score - 0.9473684) >= 1e-3:
         failures.append(f"pointssim {score}")
 
@@ -168,7 +166,7 @@ def test_criterion_03_hand_values():
     sim = graph_pair_sims(
         GradientFeatures(np.array([2.0]), zeros, zeros, np.zeros((1, 1))),
         GradientFeatures(np.array([4.0]), zeros, zeros,
-                         np.zeros((1, 1))))[0, 0]
+                         np.zeros((1, 1))), (0.001, 0.001, 0.001))[0, 0]
     if abs(sim - 0.800) >= 1e-3:
         failures.append(f"sim_mg {sim}")
 
@@ -180,8 +178,9 @@ def test_criterion_03_hand_values():
             chroma=np.sqrt(2.0) * one, radius=1.0, color_mode="cielab",
             plane_fallbacks=0, degenerates=0)
 
-    f1 = compute_pcqm_features(toy(1.0), toy(3.0),
-                               {"k1": 0.0}).as_dict()["f1"]
+    own = Neighbors(np.array([0]), np.array([0.0]), np.array([0, 1]))
+    f1 = pcqm_compare(toy(1.0), toy(3.0), own,
+                      Config(pcqm_k1=0.0)).as_dict()["f1"]
     if abs(f1 - 2.0 / 3.0) >= 1e-3:
         failures.append(f"pcqm f1 {f1}")
 

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from pcqkit.cloud import PointCloud
 from pcqkit.io_ply import save_ply
 from pcqkit.pipeline import (FEATURE_COLUMNS, FeatureTable, ManifestRow,
                              write_features_csv)
@@ -67,6 +68,38 @@ def test_metric_single_choice(corpus):
     assert code == 0
     payload = json.loads(out)
     assert set(payload) == {"psnr_y", "psnr_u", "psnr_v", "psnr_yuv"}
+
+
+def test_geometry_psnr_of_colorless_clouds(tmp_path):
+    # d1 and d2 read only geometry queries, so colors are not required
+    ref = surface_cloud(300, seed=5)
+    ref = PointCloud(ref.positions, bit_depth=8)
+    save_ply(ref, str(tmp_path / "ref.ply"))
+    save_ply(jitter(ref, 0.5, seed=6), str(tmp_path / "dist.ply"))
+    for metric, key in (("d1", "psnr_d1"), ("d2", "psnr_d2")):
+        code, out, err = run_cli("metric", "--ref", str(tmp_path / "ref.ply"),
+                                 "--dist", str(tmp_path / "dist.ply"),
+                                 "--metric", metric)
+        assert code == 0, err
+        payload = json.loads(out)
+        assert set(payload) == {key}
+        assert payload[key] > 0.0
+
+
+@pytest.mark.parametrize("entry", [
+    "[psnr]\nyuv_symmetric = max\n",
+    "[psnr]\nycbcr_matrix = bt2020\n",
+    "[pointssim]\nestimator = mystery\n"],
+    ids=["yuv_symmetric", "ycbcr_matrix", "estimator"])
+def test_metric_refuses_unknown_choice(corpus, tmp_path, entry):
+    config = tmp_path / "bad.ini"
+    config.write_text(entry)
+    ref = str(corpus / "ref0.ply")
+    code, out, err = run_cli("metric", "--ref", ref, "--dist", ref,
+                             "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert "expected one of" in err and "Traceback" not in err
 
 
 def test_full_pipeline_round_trip(corpus, tmp_path):

@@ -72,6 +72,36 @@ def test_nan_float_is_rejected(tmp_path):
         load_config(str(path))
 
 
+def _refused_choice(tmp_path, section, key, value, field):
+    path = tmp_path / "settings.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigMismatch, match=f"{field}: expected one of "):
+        load_config(str(path))
+    with pytest.raises(ConfigMismatch, match=f"{field}: expected one of "):
+        load_config(overrides={field: value})
+
+
+def test_yuv_symmetric_choice_is_checked(tmp_path):
+    _refused_choice(tmp_path, "psnr", "yuv_symmetric", "max",
+                    "psnr_yuv_symmetric")
+    assert load_config(overrides={"psnr_yuv_symmetric": "psnr"}) \
+        .psnr_yuv_symmetric == "psnr"
+
+
+def test_ycbcr_matrix_choice_is_checked(tmp_path):
+    _refused_choice(tmp_path, "psnr", "ycbcr_matrix", "bt2020",
+                    "psnr_ycbcr_matrix")
+    assert load_config(overrides={"psnr_ycbcr_matrix": "bt601"}) \
+        .psnr_ycbcr_matrix == "bt601"
+
+
+def test_estimator_choice_is_checked(tmp_path):
+    _refused_choice(tmp_path, "pointssim", "estimator", "mystery",
+                    "pointssim_estimator")
+    assert load_config(overrides={"pointssim_estimator": "qcd"}) \
+        .pointssim_estimator == "qcd"
+
+
 def test_hash_covers_semantic_fields_only():
     base = config_hash(Config())
     assert len(base) == 12 and int(base, 16) >= 0

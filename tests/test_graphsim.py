@@ -2,14 +2,25 @@ import numpy as np
 import pytest
 
 from pcqkit.cloud import PointCloud
-from pcqkit.errors import AllKeypointsEmpty, SettingsMismatch
+from pcqkit.config import Config
+from pcqkit.errors import AllKeypointsEmpty
 from pcqkit.metrics.graphsim import (GradientFeatures, extract_keypoints,
-                                     graph_pair_sims, graphsim_reference,
-                                     graphsim_score, msgraphsim_score,
+                                     graph_pair_sims, msgraphsim_score,
                                      scale_transform)
+from pcqkit.plan import PairPlan, ReferenceContext
 from pcqkit.spatial import build_index
 
 from conftest import jitter, surface_cloud
+
+
+def score(ref, dist, config=None, reference=None):
+    return msgraphsim_score(PairPlan.build(ref, dist, config, reference))
+
+
+def keypoints(cloud, fraction):
+    knn = build_index(cloud).knn_batch(cloud.positions, 11)
+    return extract_keypoints(
+        cloud, knn, Config(graphsim_keypoint_fraction=fraction))
 
 
 def test_sim_mg_hand_value():
@@ -17,35 +28,33 @@ def test_sim_mg_hand_value():
     zeros = np.zeros(1)
     ref = GradientFeatures(np.array([2.0]), zeros, zeros, np.zeros((1, 1)))
     dist = GradientFeatures(np.array([4.0]), zeros, zeros, np.zeros((1, 1)))
-    sims = graph_pair_sims(ref, dist)
+    sims = graph_pair_sims(ref, dist, (0.001, 0.001, 0.001))
     assert abs(sims[0, 0] - 0.800) < 1e-3
     assert abs(sims[0, 0] - 16.001 / 20.001) < 1e-12
 
 
 def test_identity_is_exactly_one():
     cloud = surface_cloud(700, seed=1)
-    score = msgraphsim_score(cloud, cloud)
-    assert score.overall == 1.0
-    assert np.all(score.sims == 1.0)
-    assert np.all(score.per_scale == 1.0)
-    assert graphsim_score(cloud, cloud) == 1.0
+    same = score(cloud, cloud)
+    assert same.overall == 1.0
+    assert np.all(same.sims == 1.0)
+    assert np.all(same.per_scale == 1.0)
 
 
 def test_noise_decreases_similarity():
     ref = surface_cloud(1200, seed=2)
     mild = jitter(ref, 0.5, seed=3, color_sigma=3.0)
     harsh = jitter(ref, 3.0, seed=3, color_sigma=18.0)
-    assert (msgraphsim_score(ref, mild).overall
-            > msgraphsim_score(ref, harsh).overall)
+    assert score(ref, mild).overall > score(ref, harsh).overall
 
 
 def test_keypoint_count_and_determinism():
     cloud = surface_cloud(500, seed=4)
-    keys = extract_keypoints(cloud, fraction=0.1, k_graph=10)
+    keys = keypoints(cloud, 0.1)
     assert len(keys.indices) == 50  # ceil(0.1 * 500)
-    again = extract_keypoints(cloud, fraction=0.1, k_graph=10)
+    again = keypoints(cloud, 0.1)
     assert np.array_equal(keys.indices, again.indices)
-    few = extract_keypoints(cloud, fraction=0.004, k_graph=10)
+    few = keypoints(cloud, 0.004)
     assert len(few.indices) == 2  # ceil rounds up
 
 
@@ -55,7 +64,7 @@ def test_keypoints_prefer_high_response():
     positions = base.positions.copy()
     positions[7, 2] += 60.0
     spiky = PointCloud(positions, colors=base.colors, bit_depth=8)
-    keys = extract_keypoints(spiky, fraction=0.01, k_graph=10)
+    keys = keypoints(spiky, 0.01)
     assert 7 in keys.indices
 
 
@@ -80,41 +89,34 @@ def test_holes_are_counted_and_punished():
     keep = dst > 25.0
     dist = PointCloud(ref.positions[keep], colors=ref.colors[keep],
                       bit_depth=8)
-    score = msgraphsim_score(ref, dist)
-    whole = msgraphsim_score(ref, jitter(ref, 0.01, seed=8))
-    assert score.empty_dist_graphs > 0
-    assert score.overall < whole.overall
+    holed = score(ref, dist)
+    whole = score(ref, jitter(ref, 0.01, seed=8))
+    assert holed.empty_dist_graphs > 0
+    assert holed.overall < whole.overall
 
 
 def test_all_empty_raises():
     ref = surface_cloud(300, seed=9)
     far = PointCloud(ref.positions + 1e6, colors=ref.colors, bit_depth=8)
     with pytest.raises(AllKeypointsEmpty):
-        msgraphsim_score(ref, far, radius=1.0)
-
-
-def test_scale_weights_must_match():
-    cloud = surface_cloud(200, seed=10)
-    with pytest.raises(ValueError):
-        msgraphsim_score(cloud, cloud, scales=(0, 1), scale_weights=(1.0,))
+        score(ref, far)
 
 
 def test_nan_radius_is_rejected():
     cloud = surface_cloud(200, seed=10)
     with pytest.raises(ValueError):
-        msgraphsim_score(cloud, cloud, radius=float("nan"))
+        score(cloud, cloud, Config(graphsim_radius_factor=float("nan")))
 
 
 def test_scales_are_scored_independently_and_reference_is_reusable():
     # a scale's similarities do not depend on which other scales run
     ref = surface_cloud(400, seed=12)
     dist = jitter(ref, 1.5, seed=13, color_sigma=6.0)
-    full = msgraphsim_score(ref, dist, scales=(0, 1, 2))
-    reference = graphsim_reference(ref, scales=(1, 2))
+    three = score(ref, dist, Config(graphsim_n_scales=3))
+    config = Config(graphsim_n_scales=4)
+    reference = ReferenceContext.build(ref, config)
     for _ in range(2):
-        part = msgraphsim_score(ref, dist, scales=(1, 2),
-                                reference=reference)
-        assert np.array_equal(part.sims, full.sims[1:])
-        assert np.array_equal(part.per_scale, full.per_scale[1:])
-    with pytest.raises(SettingsMismatch):
-        msgraphsim_score(ref, dist, scales=(0, 1, 2), reference=reference)
+        four = score(ref, dist, config, reference)
+        assert four.scales == (0, 1, 2, 3)
+        assert np.array_equal(four.sims[:3], three.sims)
+        assert np.array_equal(four.per_scale[:3], three.per_scale)

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from pcqkit.cloud import PointCloud, bounding_box
-from pcqkit.errors import SettingsMismatch, UnknownFeatureName
+from pcqkit.config import Config
+from pcqkit.errors import UnknownFeatureName
 from pcqkit.metrics.pcqm import (DEFAULT_AGGREGATE_WEIGHTS, Correspondence,
-                                 build_correspondence, compute_pcqm_features,
-                                 pcqm_aggregate)
+                                 compute_pcqm_features, pcqm_aggregate,
+                                 pcqm_compare)
+from pcqkit.plan import PairPlan, ReferenceContext
+from pcqkit.spatial import Neighbors
 
 from conftest import jitter, surface_cloud
 
@@ -20,21 +22,22 @@ def _toy_correspondence(curvature, radius=1.0):
         plane_fallbacks=0, degenerates=0)
 
 
+# the toy's one point is its own only neighbour
+_SELF = Neighbors(np.array([0]), np.array([0.0]), np.array([0, 1]))
+
+
 def test_f1_toy_hand_value():
     # curvature means 1 vs 3 with k1 = 0: f1 = |1-3| / max(1,3) = 2/3
     ref = _toy_correspondence(1.0)
     dist = _toy_correspondence(3.0)
-    feats = compute_pcqm_features(ref, dist, {"k1": 0.0})
+    feats = pcqm_compare(ref, dist, _SELF, Config(pcqm_k1=0.0))
     assert abs(feats.as_dict()["f1"] - 2.0 / 3.0) < 1e-3
 
 
 def _pair(sigma, n=900):
     ref = surface_cloud(n, seed=10)
     dist = jitter(ref, sigma, seed=11, color_sigma=sigma * 6)
-    h = 0.02 * bounding_box(ref).diagonal
-    corr_ref = build_correspondence(ref, ref, h)
-    corr_dist = build_correspondence(ref, dist, h)
-    return compute_pcqm_features(corr_ref, corr_dist)
+    return compute_pcqm_features(PairPlan.build(ref, dist))
 
 
 def test_identity_features_are_exact():
@@ -71,22 +74,16 @@ def test_aggregate_weights():
 def test_constants_shift_similarity_features():
     ref = _toy_correspondence(1.0)
     dist = _toy_correspondence(3.0)
-    small_k = compute_pcqm_features(ref, dist, {"k1": 1e-8}).as_dict()["f1"]
-    big_k = compute_pcqm_features(ref, dist, {"k1": 10.0}).as_dict()["f1"]
+    small_k = pcqm_compare(ref, dist, _SELF,
+                           Config(pcqm_k1=1e-8)).as_dict()["f1"]
+    big_k = pcqm_compare(ref, dist, _SELF,
+                         Config(pcqm_k1=10.0)).as_dict()["f1"]
     assert big_k < small_k  # a large stabilizer damps the contrast
-
-
-def test_radius_mismatch_is_refused():
-    ref = _toy_correspondence(1.0, radius=1.0)
-    dist = _toy_correspondence(1.0, radius=2.0)
-    with pytest.raises(SettingsMismatch):
-        compute_pcqm_features(ref, dist)
 
 
 def test_correspondence_samples_nearest_color():
     ref = surface_cloud(300, seed=12)
-    h = 0.02 * bounding_box(ref).diagonal
-    corr = build_correspondence(ref, ref, h)
+    corr = ReferenceContext.build(ref).corr
     assert corr.positions.shape == (300, 3)
     assert corr.color_mode == "cielab"
     assert np.all(np.isfinite(corr.curvature))

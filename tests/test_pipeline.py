@@ -6,14 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pcqkit import spatial
 from pcqkit.cloud import PointCloud
 from pcqkit.config import Config
 from pcqkit.errors import (BadMosValue, ConfigMismatch, JoinMismatch,
                            MissingColumn, PcqkitError, SchemaMismatch,
                            SettingsMismatch)
 from pcqkit.io_ply import load_ply, save_ply
-from pcqkit.pipeline import (FEATURE_COLUMNS, ManifestRow, ReferenceContext,
-                             _pair_cache_key, _runs, compute_pair_features,
+from pcqkit.metrics.psnr import compute_d1
+from pcqkit.pipeline import (FEATURE_COLUMNS, ManifestRow, PairPlan,
+                             ReferenceContext, _pair_cache_key, _runs,
+                             compute_pair_features,
                              compute_pair_metrics, extract_features,
                              feature_vector, join_scores, load_manifest,
                              read_features_csv, read_scores_csv,
@@ -239,6 +242,43 @@ def test_reference_context_rejects_other_cloud_or_config():
     copy = PointCloud(ref.positions.copy(), colors=ref.colors.copy(),
                       bit_depth=ref.bit_depth)
     compute_pair_metrics(copy, dist, Config(), reference)
+
+
+def test_each_query_runs_once_per_pair(monkeypatch):
+    calls = {}
+
+    def counted(name):
+        original = getattr(spatial.SpatialIndex, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(spatial.SpatialIndex, name, wrapper)
+
+    for name in ("__init__", "knn_batch", "radius_batch"):
+        counted(name)
+
+    def count(fn):
+        calls.clear()
+        fn()
+        return (calls.get("__init__", 0), calls.get("knn_batch", 0),
+                calls.get("radius_batch", 0))
+
+    ref = surface_cloud(400, seed=9)
+    dist = jitter(ref, 1.0, seed=10, color_sigma=4.0)   # without normals
+    reference = ReferenceContext.build(ref)
+    # the reference side: its kd-tree, one self k-NN and three radius
+    # queries (normals, PCQM h, GraphSIM keypoints), each made once
+    fields = ("index", "knn", "with_normals", "ycc", "fields",
+              "pcqm_neighbors", "corr", "graphsim")
+    assert count(lambda: [getattr(reference, f) for f in fields]) == (1, 1, 3)
+    assert count(lambda: [getattr(reference, f) for f in fields]) == (0, 0, 0)
+    # the dist side: its kd-tree, two nearest queries, one self k-NN and
+    # three radius queries (normals, PCQM h, GraphSIM keypoints)
+    assert count(lambda: compute_pair_metrics(ref, dist, None,
+                                              reference)) == (1, 3, 3)
+    assert count(lambda: compute_pair_metrics(ref, dist)) == (2, 4, 6)
+    assert count(lambda: compute_d1(PairPlan.build(ref, dist))) == (2, 2, 0)
 
 
 def test_runs_group_by_reference_and_fill_every_worker():

@@ -1,12 +1,18 @@
 import numpy as np
 import pytest
 
-from pcqkit.cloud import PointCloud
-from pcqkit.errors import SettingsMismatch
+from pcqkit.config import Config
 from pcqkit.metrics.pointssim import (ESTIMATORS, DispersionField,
-                                      extract_dispersion, pointssim_score)
+                                      extract_dispersion, pointssim_pool,
+                                      pointssim_score)
+from pcqkit.plan import PairPlan
+from pcqkit.spatial import build_index
 
 from conftest import jitter, surface_cloud
+
+
+def score(ref, dist, attribute="luminance", config=None):
+    return pointssim_score(PairPlan.build(ref, dist, config), attribute)
 
 
 def test_variance_estimator_hand_value():
@@ -30,22 +36,18 @@ def test_estimator_catalog():
 
 def test_single_point_hand_value():
     # fields 2/3 vs 38/3: S = 12 / (38/3 + eps) ~= 0.947
-    pos = np.array([[0.0, 0.0, 0.0]])
-    ref = PointCloud(pos)
-    dist = PointCloud(pos)
     ref_field = DispersionField(np.array([2.0 / 3.0]), "luminance",
                                 "variance", 12)
     dist_field = DispersionField(np.array([38.0 / 3.0]), "luminance",
                                  "variance", 12)
-    score = pointssim_score(ref, dist, ref_field=ref_field,
-                            dist_field=dist_field)
-    assert abs(score - 0.9473684) < 1e-3
+    pooled = pointssim_pool(ref_field, dist_field, np.array([0]), 1.0)
+    assert abs(pooled - 0.9473684) < 1e-3
 
 
 def test_identity_is_exactly_zero():
     cloud = surface_cloud(800, seed=1)
     for attribute in ("luminance", "geometry"):
-        assert pointssim_score(cloud, cloud, attribute) == 0.0
+        assert score(cloud, cloud, attribute) == 0.0
 
 
 def test_more_noise_scores_worse():
@@ -53,39 +55,29 @@ def test_more_noise_scores_worse():
     mild = jitter(ref, 0.5, seed=3, color_sigma=3.0)
     harsh = jitter(ref, 3.0, seed=3, color_sigma=18.0)
     for attribute in ("luminance", "geometry"):
-        assert (pointssim_score(ref, harsh, attribute)
-                > pointssim_score(ref, mild, attribute) > 0.0)
+        assert (score(ref, harsh, attribute)
+                > score(ref, mild, attribute) > 0.0)
 
 
 def test_score_is_bounded():
     ref = surface_cloud(500, seed=4)
     dist = jitter(ref, 10.0, seed=5, color_sigma=60.0)
     for attribute in ("luminance", "geometry"):
-        score = pointssim_score(ref, dist, attribute)
-        assert 0.0 <= score <= 1.0 + 1e-12
+        assert 0.0 <= score(ref, dist, attribute) <= 1.0 + 1e-12
 
 
 def test_pooling_exponent_changes_emphasis():
     ref = surface_cloud(500, seed=6)
     dist = jitter(ref, 1.0, seed=7, color_sigma=6.0)
-    s1 = pointssim_score(ref, dist, pooling_exponent=1.0)
-    s2 = pointssim_score(ref, dist, pooling_exponent=2.0)
+    s1 = score(ref, dist, config=Config(pointssim_pooling_exponent=1.0))
+    s2 = score(ref, dist, config=Config(pointssim_pooling_exponent=2.0))
     # values in [0,1): squaring shrinks the pooled mean
     assert s2 < s1
 
 
-def test_settings_mismatch_is_refused():
-    cloud = surface_cloud(100, seed=8)
-    f_var = extract_dispersion(cloud, "luminance", "variance", 12)
-    f_med = extract_dispersion(cloud, "luminance", "median", 12)
-    with pytest.raises(SettingsMismatch):
-        pointssim_score(cloud, cloud, ref_field=f_var, dist_field=f_med)
-    f_k8 = extract_dispersion(cloud, "luminance", "variance", 8)
-    with pytest.raises(SettingsMismatch):
-        pointssim_score(cloud, cloud, ref_field=f_var, dist_field=f_k8)
-
-
 def test_unknown_estimator():
     cloud = surface_cloud(50, seed=9)
+    knn = build_index(cloud).knn_batch(cloud.positions, 12)
     with pytest.raises(ValueError):
-        extract_dispersion(cloud, "luminance", "mystery", 12)
+        extract_dispersion(cloud, knn, "luminance",
+                           Config(pointssim_estimator="mystery"))

@@ -4,10 +4,24 @@ import numpy as np
 import pytest
 
 from pcqkit.cloud import PointCloud
+from pcqkit.config import Config
 from pcqkit.errors import MissingNormalsUnrecoverable
-from pcqkit.metrics.psnr import compute_d1, compute_d2, compute_yuv
+from pcqkit.metrics import psnr
+from pcqkit.plan import PairPlan
 
 from conftest import jitter, surface_cloud
+
+
+def compute_d1(ref, dist, config=None):
+    return psnr.compute_d1(PairPlan.build(ref, dist, config))
+
+
+def compute_d2(ref, dist, config=None):
+    return psnr.compute_d2(PairPlan.build(ref, dist, config))
+
+
+def compute_yuv(ref, dist, config=None):
+    return psnr.compute_yuv(PairPlan.build(ref, dist, config))
 
 
 def test_d1_single_point_hand_value():
@@ -68,7 +82,7 @@ def test_peak_follows_bit_depth():
     ref = PointCloud(np.array([[0.0, 0.0, 0.0]]), bit_depth=8)
     dist = PointCloud(np.array([[1.0, 0.0, 0.0]]), bit_depth=8)
     res8 = compute_d1(ref, dist)
-    res12 = compute_d1(ref, dist, peak=4095.0)
+    res12 = compute_d1(ref, dist, Config(cloud_bit_depth=12))
     assert res8.peak == 255.0 and res12.peak == 4095.0
     assert res12.psnr_db > res8.psnr_db
 
@@ -77,7 +91,7 @@ def test_d2_estimates_missing_normals():
     ref = surface_cloud(500, seed=3)
     dist = jitter(ref, 0.5, seed=4)
     assert not ref.has_normals
-    res = compute_d2(ref, dist, normal_radius=25.0)
+    res = compute_d2(ref, dist, Config(psnr_normal_radius=25.0))
     assert np.isfinite(res.psnr_db)
     # projecting onto normals discards tangential error: D2 >= D1
     assert res.psnr_db >= compute_d1(ref, dist).psnr_db
@@ -93,6 +107,14 @@ def test_d2_two_points_without_normals_is_unrecoverable():
 def test_yuv_symmetric_mode_psnr_keeps_better_channel_mse():
     ref = surface_cloud(400, seed=5)
     dist = jitter(ref, 1.0, seed=6, color_sigma=8.0)
-    worst = compute_yuv(ref, dist, symmetric="mse")
-    best = compute_yuv(ref, dist, symmetric="psnr")
+    worst = compute_yuv(ref, dist, Config(psnr_yuv_symmetric="mse"))
+    best = compute_yuv(ref, dist, Config(psnr_yuv_symmetric="psnr"))
     assert best.y.psnr_db >= worst.y.psnr_db
+
+
+def test_d1_and_d2_need_no_colors():
+    ref = surface_cloud(300, seed=7)
+    ref = PointCloud(ref.positions, bit_depth=8)
+    dist = jitter(ref, 0.5, seed=8)
+    assert np.isfinite(compute_d1(ref, dist).psnr_db)
+    assert np.isfinite(compute_d2(ref, dist).psnr_db)

@@ -44,7 +44,8 @@ def test_estimate_normals_oriented_outward_from_centroid():
     direction = rng.normal(size=(2000, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     cloud = PointCloud(7.0 * direction)
-    with_normals = estimate_normals(cloud, radius=1.5)
+    neighbors = build_index(cloud).radius_batch(cloud.positions, 1.5)
+    with_normals = estimate_normals(cloud, neighbors)
     dots = np.einsum("ij,ij->i", with_normals.normals, direction)
     assert (dots > 0).mean() > 0.99
 
