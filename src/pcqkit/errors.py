@@ -61,10 +61,6 @@ class SettingsMismatch(PcqkitError):
     """Two intermediate results were built with incompatible settings."""
 
 
-class UnknownFeatureName(PcqkitError):
-    """A feature weight or selection names a feature that does not exist."""
-
-
 class AllKeypointsEmpty(PcqkitError):
     """No keypoint produced a comparable local graph."""
 

@@ -10,6 +10,12 @@ member of the distance-sorted neighborhood and contract it toward the
 bounding-box centroid. 1 means identical. The entry point,
 msgraphsim_score, reads the keypoint neighborhoods and the settings from
 a PairPlan.
+
+The arithmetic is batched: graph_features computes all graphs that
+keep the same member count in one vectorised pass (in blocks under a
+fixed element budget), graph_pair_sims all pairs of one zero-padded
+gradient length. Every reduction keeps its one-graph order, so no
+score depends on the batching.
 """
 
 import math
@@ -25,26 +31,25 @@ SIM_KINDS = ("mg", "ug", "cg")
 
 CHANNEL_WEIGHTS = (6.0, 1.0, 1.0)
 
-
-@dataclass(frozen=True)
-class KeypointSet:
-    indices: np.ndarray    # sorted by descending response, ties by index
-    responses: np.ndarray  # response of every cloud point
+# elements of the (K, M, M, 3) pair-difference array of one block of
+# equal-size graphs; a single larger graph still runs whole
+_PAIR_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
-class GradientFeatures:
-    """Weighted gradient summary of one local graph, one row per channel."""
+class GraphFeatures:
+    """Weighted gradient summaries of n graphs, one column per channel.
 
-    m_g: np.ndarray        # (c,) gradient sum
-    mu_g: np.ndarray       # (c,) gradient mean
-    var_g: np.ndarray      # (c,) gradient variance (population)
-    gradients: np.ndarray  # (n_members - 1, c) distance-ordered
+    The distance-ordered gradients of graph i are
+    gradients[offsets[i]:offsets[i + 1]]; the last row of gradients is
+    zero and pads shorter sequences.
+    """
 
-    @classmethod
-    def empty(cls, channels: int) -> "GradientFeatures":
-        z = np.zeros(channels)
-        return cls(z, z.copy(), z.copy(), np.zeros((0, channels)))
+    m_g: np.ndarray        # (n, c) gradient sum
+    mu_g: np.ndarray       # (n, c) gradient mean
+    var_g: np.ndarray      # (n, c) gradient variance (population)
+    offsets: np.ndarray    # (n + 1,) int64 row boundaries
+    gradients: np.ndarray  # (offsets[-1] + 1, c)
 
 
 def graph_filter_response(cloud: PointCloud, knn, k_graph: int) -> np.ndarray:
@@ -58,91 +63,111 @@ def graph_filter_response(cloud: PointCloud, knn, k_graph: int) -> np.ndarray:
     if k < 1:
         return np.zeros(n)
     idx = knn[0][:, :k + 1]
-    self_col = np.where((idx == np.arange(n)[:, None]).any(axis=1),
-                        (idx == np.arange(n)[:, None]).argmax(axis=1), 0)
+    is_self = idx == np.arange(n)[:, None]
+    self_col = np.where(is_self.any(axis=1), is_self.argmax(axis=1), 0)
     keep = np.arange(k + 1)[None, :] != self_col[:, None]
     nbrs = idx[keep].reshape(n, k)
     mean = cloud.positions[nbrs].mean(axis=1)
     return np.linalg.norm(cloud.positions - mean, axis=1)
 
 
-def extract_keypoints(cloud: PointCloud, knn, config) -> KeypointSet:
-    """Top ceil(graphsim_keypoint_fraction * n) points by response
-    (graph_filter_response with k_graph = graphsim_k), ties by ascending
-    index."""
+def extract_keypoints(cloud: PointCloud, knn, config) -> np.ndarray:
+    """Indices of the top ceil(graphsim_keypoint_fraction * n) points by
+    response (graph_filter_response with k_graph = graphsim_k), sorted by
+    descending response, ties by ascending index."""
     fraction = config.graphsim_keypoint_fraction
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     responses = graph_filter_response(cloud, knn, config.graphsim_k)
     n = len(responses)
     order = np.lexsort((np.arange(n), -responses))
-    count = int(math.ceil(fraction * n))
-    return KeypointSet(order[:count], responses)
+    return order[:int(math.ceil(fraction * n))]
 
 
-def scale_transform(member_positions, scale: int, centroid):
-    """Systematic downsample plus contraction toward the centroid.
+def graph_blocks(members, positions, scale: int, centroid):
+    """The graphs of members at scale, in blocks of equal member count.
 
-    member_positions must be distance-sorted; every 2^scale-th row is
-    kept (offset 0) and mapped to centroid + (p - centroid) / 2^scale.
-    Returns (kept_row_indices, transformed_positions).
+    members: Neighbors whose rows are distance-sorted. A graph keeps
+    every 2^scale-th member (offset 0), mapped to
+    centroid + (p - centroid) / 2^scale; scale 0 is the identity, bit
+    for bit. Graphs that keep fewer than two members have no gradient
+    and are left out. Yields (rows, kept, moved): the row numbers of a
+    block, (K, M) kept point indices and their (K, M, 3) moved
+    positions, with K * M * M * 3 within _PAIR_BUDGET unless K is 1.
     """
-    if scale < 0:
-        raise ValueError("scale must be >= 0")
-    step = 2 ** int(scale)
-    kept = np.arange(0, len(member_positions), step)
-    if step == 1:
-        # scale 0 is the identity, bit for bit
-        return kept, np.asarray(member_positions, dtype=np.float64)
-    moved = centroid + (member_positions[kept] - centroid) / step
-    return kept, moved
+    step = 2 ** scale
+    counts = -(-members.counts // step)
+    for m in np.unique(counts[counts > 1]):
+        rows = np.flatnonzero(counts == m)
+        size = max(1, _PAIR_BUDGET // (3 * m * m))
+        for lo in range(0, len(rows), size):
+            block = rows[lo:lo + size]
+            kept = members.indices[members.offsets[block, None]
+                                   + step * np.arange(m)]
+            moved = positions[kept]
+            if step > 1:
+                moved = centroid + (moved - centroid) / step
+            yield block, kept, moved
 
 
-def _graph_features(positions, signals, center_pos,
-                    smoothing: bool) -> GradientFeatures:
-    """Gradient features of one graph whose members are distance-sorted.
+def graph_features(members, positions, signals, centers, scale: int,
+                   centroid, smoothing: bool) -> GraphFeatures:
+    """Gradient features of the graph of every row of members at scale.
 
-    The first member carries the center signal; remaining members
-    contribute gradients sqrt(W)*(f - f_center) with Gaussian weights of
-    their distance to the center position, the bandwidth being their
-    mean distance.
+    members: Neighbors whose rows are distance-sorted; centers: (n, 3)
+    graph centers. The first kept member carries the center signal; the
+    others contribute gradients sqrt(W)*(f - f_center) with Gaussian
+    weights W of their distance to the center, the bandwidth sigma being
+    their mean distance (W = 1 where sigma is 0). With smoothing, every
+    member's signal is first its pair-weighted mean over the graph.
     """
-    channels = signals.shape[1]
-    diff = positions - center_pos
-    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    sigma = float(d[1:].mean()) if len(d) > 1 else 0.0
-    if sigma > 0.0:
-        w = np.exp(-(d * d) / (sigma * sigma))
-    else:
-        w = np.ones_like(d)
+    n, channels = len(members), signals.shape[1]
+    lengths = np.maximum(-(-members.counts // 2 ** scale) - 1, 0)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    m_g, mu_g, var_g = (np.zeros((n, channels)) for _ in range(3))
+    gradients = np.zeros((offsets[-1] + 1, channels))
+    for rows, kept, pos in graph_blocks(members, positions, scale, centroid):
+        diff = pos - centers[rows, None]
+        d = np.sqrt(np.einsum("kij,kij->ki", diff, diff))
+        sigma = d[:, 1:].mean(axis=1)[:, None]
+        spread = sigma > 0.0
+        s2 = np.where(spread, sigma * sigma, 1.0)
+        w = np.where(spread, np.exp(-(d * d) / s2), 1.0)
 
-    f = signals
-    if smoothing and len(positions) > 1:
-        diff = positions[:, None, :] - positions[None, :, :]
-        d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        if sigma > 0.0:
-            w_pair = np.exp(-d2 / (sigma * sigma))
-        else:
-            w_pair = np.ones_like(d2)
-        f = (w_pair @ signals) / w_pair.sum(axis=1, keepdims=True)
+        f = signals[kept]
+        if smoothing:
+            diff = pos[:, :, None, :] - pos[:, None, :, :]
+            d2 = np.einsum("kijl,kijl->kij", diff, diff)
+            del diff                  # the largest array of the block
+            w_pair = np.where(spread[:, :, None],
+                              np.exp(-d2 / s2[:, :, None]), 1.0)
+            f = (w_pair @ f) / w_pair.sum(axis=2, keepdims=True)
 
-    g = np.sqrt(w[1:, None]) * (f[1:] - f[0])
-    if len(g) == 0:
-        return GradientFeatures.empty(channels)
-    m_g = g.sum(axis=0)
-    mu_g = m_g / len(g)
-    gd = g - g.mean(axis=0)
-    var_g = (gd * gd).mean(axis=0)
-    return GradientFeatures(m_g, mu_g, var_g, g)
+        g = np.sqrt(w[:, 1:, None]) * (f[:, 1:] - f[:, :1])
+        m_g[rows] = g.sum(axis=1)
+        mu_g[rows] = m_g[rows] / g.shape[1]
+        gd = g - g.mean(axis=1, keepdims=True)
+        var_g[rows] = (gd * gd).mean(axis=1)
+        gradients[offsets[rows, None] + np.arange(g.shape[1])] = g
+    return GraphFeatures(m_g, mu_g, var_g, offsets, gradients)
 
 
-def graph_pair_sims(feat_ref: GradientFeatures, feat_dist: GradientFeatures,
+def _padded(features: GraphFeatures, rows, n: int) -> np.ndarray:
+    """(K, n, c) gradients of graphs rows, padded to length n with the
+    last (zero) row of the store."""
+    idx = features.offsets[rows, None] + np.arange(n)
+    return features.gradients[
+        np.where(idx < features.offsets[rows + 1, None], idx, -1)]
+
+
+def graph_pair_sims(feat_ref: GraphFeatures, feat_dist: GraphFeatures,
                     t) -> np.ndarray:
-    """SIM_mg, SIM_ug, SIM_cg per channel, shape (3, c), with stabilizers
-    t = (T_mag, T_mean, T_cov).
+    """SIM_mg, SIM_ug, SIM_cg per graph pair and channel, shape
+    (n, 3, c), with stabilizers t = (T_mag, T_mean, T_cov).
 
     Gradient sequences of unequal length are zero-padded so a missing
-    (hole) side is compared against a zero-gradient graph.
+    (hole) side is compared against a zero-gradient graph; pairs are
+    batched by padded length.
     """
     t0, t1, t2 = t
     sim_m = ((2.0 * feat_ref.m_g * feat_dist.m_g + t0)
@@ -150,23 +175,18 @@ def graph_pair_sims(feat_ref: GradientFeatures, feat_dist: GradientFeatures,
     sim_u = ((2.0 * feat_ref.mu_g * feat_dist.mu_g + t1)
              / (feat_ref.mu_g ** 2 + feat_dist.mu_g ** 2 + t1))
 
-    gr, gd = feat_ref.gradients, feat_dist.gradients
-    n = max(len(gr), len(gd))
-    channels = sim_m.shape[0]
-    if n == 0:
-        sim_c = np.ones(channels)
-    else:
-        if len(gr) < n:
-            gr = np.vstack([gr, np.zeros((n - len(gr), channels))])
-        if len(gd) < n:
-            gd = np.vstack([gd, np.zeros((n - len(gd), channels))])
-        dr = gr - gr.mean(axis=0)
-        dd = gd - gd.mean(axis=0)
-        cov = (dr * dd).mean(axis=0)
-        var_r = (dr * dr).mean(axis=0)
-        var_d = (dd * dd).mean(axis=0)
-        sim_c = (cov + t2) / (np.sqrt(var_r * var_d) + t2)
-    return np.stack([sim_m, sim_u, sim_c])
+    sim_c = np.ones_like(sim_m)
+    padded = np.maximum(np.diff(feat_ref.offsets), np.diff(feat_dist.offsets))
+    for n in np.unique(padded[padded > 0]):
+        rows = np.flatnonzero(padded == n)
+        gr, gd = _padded(feat_ref, rows, n), _padded(feat_dist, rows, n)
+        dr = gr - gr.mean(axis=1, keepdims=True)
+        dd = gd - gd.mean(axis=1, keepdims=True)
+        cov = (dr * dd).mean(axis=1)
+        var_r = (dr * dr).mean(axis=1)
+        var_d = (dd * dd).mean(axis=1)
+        sim_c[rows] = (cov + t2) / (np.sqrt(var_r * var_d) + t2)
+    return np.stack([sim_m, sim_u, sim_c], axis=1)
 
 
 @dataclass(frozen=True)
@@ -188,11 +208,11 @@ class GraphSimReference:
     """Reference-side MS-GraphSIM state, reusable across distortions."""
 
     radius: float           # graph radius
-    keypoints: KeypointSet
+    keypoints: np.ndarray   # (n_kp,) reference point indices
     centers: np.ndarray     # (n_scales, n_kp, 3) graph center per scale
     centroid: np.ndarray    # bounding-box centroid of the reference
-    features: list          # features[i][s]: GradientFeatures of keypoint
-                            # i at scale s
+    features: list          # features[s]: GraphFeatures of every keypoint
+                            # at scale s
 
 
 def graphsim_reference(ref: PointCloud, index, knn,
@@ -213,23 +233,16 @@ def graphsim_reference(ref: PointCloud, index, knn,
 
     signals = rgb_to_gaussian(ref.require_colors("MS-GraphSIM"))
     keypoints = extract_keypoints(ref, knn, config)
-    kp_pos = ref.positions[keypoints.indices]
+    kp_pos = ref.positions[keypoints]
     centroid = bounding_box(ref).centroid
     centers = np.stack([kp_pos if s == 0
                         else centroid + (kp_pos - centroid) / 2 ** s
                         for s in scales])
     # each keypoint lies in its own graph, so no graph is empty
     members = index.radius_batch(kp_pos, radius, sort_by_distance=True)
-    features = []
-    for i, (idx, _) in enumerate(members):
-        pos_all = ref.positions[idx]
-        row = []
-        for si, scale in enumerate(scales):
-            kept, pos = scale_transform(pos_all, scale, centroid)
-            row.append(_graph_features(pos, signals[idx[kept]],
-                                       centers[si, i],
-                                       config.graphsim_smoothing))
-        features.append(row)
+    features = [graph_features(members, ref.positions, signals, centers[s],
+                               s, centroid, config.graphsim_smoothing)
+                for s in scales]
     return GraphSimReference(float(radius), keypoints, centers, centroid,
                              features)
 
@@ -237,9 +250,8 @@ def graphsim_reference(ref: PointCloud, index, knn,
 def msgraphsim_score(plan) -> GraphSimScore:
     """Multi-scale graph similarity of a PairPlan's dist against its ref.
 
-    Keypoints with an empty dist-side graph at some scale are scored
-    against a zero-feature graph (holes must hurt the score, not vanish
-    from it).
+    Keypoints with an empty dist-side graph are scored against a
+    zero-feature graph (holes must hurt the score, not vanish from it).
     """
     config, dist, reference = plan.config, plan.dist, plan.reference.graphsim
     scales = tuple(range(config.graphsim_n_scales))
@@ -248,31 +260,23 @@ def msgraphsim_score(plan) -> GraphSimScore:
     t = (config.graphsim_t_mag, config.graphsim_t_mean, config.graphsim_t_cov)
     sig_dist = rgb_to_gaussian(dist.require_colors("MS-GraphSIM"))
 
-    n_kp = len(reference.keypoints.indices)
-    sims = np.zeros((n_kp, len(scales), 3, 3))      # kp, scale, kind, channel
-    empty_dist = 0
-    for i, (d_idx, _) in enumerate(plan.graphsim_neighbors):
-        d_pos_all = dist.positions[d_idx]
-        for si, scale in enumerate(scales):
-            if len(d_idx) == 0:
-                feat_d = GradientFeatures.empty(3)
-                if si == 0:
-                    empty_dist += 1
-            else:
-                kept_d, pos_d = scale_transform(d_pos_all, scale,
-                                                reference.centroid)
-                feat_d = _graph_features(pos_d, sig_dist[d_idx[kept_d]],
-                                         reference.centers[si, i],
-                                         config.graphsim_smoothing)
-            sims[i, si] = graph_pair_sims(reference.features[i][si], feat_d,
-                                          t)
-
+    members = plan.graphsim_neighbors
+    n_kp = len(members)
+    empty_dist = int(np.count_nonzero(members.counts == 0))
     if empty_dist == n_kp:
         # no keypoint found any dist-side support: the clouds are disjoint
         # at this radius and a score would only measure the constant T
         raise AllKeypointsEmpty(
             f"all {n_kp} keypoints have an empty dist-side graph at "
             f"radius {reference.radius:g}")
+
+    sims = np.stack([                                # kp, scale, kind, channel
+        graph_pair_sims(reference.features[s],
+                        graph_features(members, dist.positions, sig_dist,
+                                       reference.centers[s], s,
+                                       reference.centroid,
+                                       config.graphsim_smoothing), t)
+        for s in scales], axis=1)
 
     # per-kind features: channel-pooled SIMs averaged over keypoints
     pooled_kind = np.einsum("ksjc,c->ksj", sims, cw) / cw.sum()

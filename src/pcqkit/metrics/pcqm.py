@@ -22,7 +22,6 @@ import numpy as np
 
 from ..cloud import PointCloud
 from ..colorspace import Lab2000HLTable, rgb_to_perceptual
-from ..errors import UnknownFeatureName
 from ..surface import fit_local_surfaces
 
 FEATURE_NAMES = ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8")
@@ -118,11 +117,7 @@ def compute_pcqm_features(plan) -> PcqmFeatures:
     """Pooled f1..f8 of a PairPlan: the dist surface sampled at every
     ref point, compared with the reference's own fields."""
     reference = plan.reference
-    corr_ref = reference.corr
-    corr_dist = build_correspondence(
-        plan.ref, plan.dist, plan.pcqm_neighbors, plan.nearest_backward[0],
-        reference.pcqm_radius, reference.lab_table)
-    return pcqm_compare(corr_ref, corr_dist, reference.pcqm_neighbors,
+    return pcqm_compare(reference.corr, plan.corr, reference.pcqm_neighbors,
                         plan.config)
 
 
@@ -180,19 +175,16 @@ def pcqm_compare(corr_ref: Correspondence, corr_dist: Correspondence,
                         corr_ref.color_mode)
 
 
-def pcqm_aggregate(features: PcqmFeatures, weights: dict = None) -> float:
-    """Weighted distance over selected features, 0 = identical.
+def pcqm_aggregate(features: PcqmFeatures) -> float:
+    """Weighted distance over selected features, 0 = identical: the
+    recommended 0.18*f3 + 0.44*(1-f4) + 0.38*(1-f6) combination.
 
     Similarity-form features (f4..f8) enter as 1 - f so every term reads
-    as a distortion. Default weights reproduce the recommended
-    0.18*f3 + 0.44*(1-f4) + 0.38*(1-f6) combination.
+    as a distortion.
     """
-    weights = DEFAULT_AGGREGATE_WEIGHTS if weights is None else weights
     table = features.as_dict()
     total = 0.0
-    for name, weight in weights.items():
-        if name not in table:
-            raise UnknownFeatureName(f"no PCQM feature named {name!r}")
+    for name, weight in DEFAULT_AGGREGATE_WEIGHTS.items():
         value = table[name]
         total += weight * (value if name in _DISTANCE_FORM else 1.0 - value)
     return total

@@ -205,10 +205,17 @@ class PairPlan:
                              self.config.psnr_normal_radius)
 
     @cached_property
-    def pcqm_neighbors(self):
-        """The dist points within h of every ref point."""
-        return self.dist_index.radius_batch(self.ref.positions,
-                                            self.reference.pcqm_radius)
+    def corr(self):
+        """The dist surface sampled at every ref point (PCQM), fitted to
+        the dist points within h of each ref point; that query is made
+        here and not kept."""
+        reference = self.reference
+        return build_correspondence(
+            self.ref, self.dist,
+            self.dist_index.radius_batch(self.ref.positions,
+                                         reference.pcqm_radius),
+            self.nearest_backward[0], reference.pcqm_radius,
+            reference.lab_table)
 
     @cached_property
     def graphsim_neighbors(self):
@@ -216,5 +223,5 @@ class PairPlan:
         sorted by distance."""
         graphsim = self.reference.graphsim
         return self.dist_index.radius_batch(
-            self.ref.positions[graphsim.keypoints.indices], graphsim.radius,
+            self.ref.positions[graphsim.keypoints], graphsim.radius,
             sort_by_distance=True)

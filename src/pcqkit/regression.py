@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (MissingFeatureColumn, NonConvergence, SingularSystem,
-                     TooFewGroups, UnknownFeatureName, UnknownModel)
+                     TooFewGroups, UnknownModel)
 from .validation import ParamMixin, check_matrix_2d, check_paired
 
 __all__ = ["MinMaxScaler", "RidgeRegression", "RbfSvr", "rbf_kernel",

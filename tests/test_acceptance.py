@@ -21,7 +21,7 @@ from pcqkit.errors import DegenerateInput
 from pcqkit.evaluation import (error_stats, evaluate, fit_logistic, logistic,
                                pearson, spearman)
 from pcqkit.io_ply import save_ply
-from pcqkit.metrics.graphsim import GradientFeatures, graph_pair_sims
+from pcqkit.metrics.graphsim import GraphFeatures, graph_pair_sims
 from pcqkit.metrics.pcqm import Correspondence, pcqm_compare
 from pcqkit.metrics.pointssim import DispersionField, pointssim_pool
 from pcqkit.metrics.psnr import compute_d1, compute_d2, compute_yuv
@@ -162,11 +162,13 @@ def test_criterion_03_hand_values():
     if abs(score - 0.9473684) >= 1e-3:
         failures.append(f"pointssim {score}")
 
-    zeros = np.zeros(1)
+    # one graph of one zero gradient per side (plus the zero padding row)
+    zeros, offsets = np.zeros((1, 1)), np.array([0, 1])
     sim = graph_pair_sims(
-        GradientFeatures(np.array([2.0]), zeros, zeros, np.zeros((1, 1))),
-        GradientFeatures(np.array([4.0]), zeros, zeros,
-                         np.zeros((1, 1))), (0.001, 0.001, 0.001))[0, 0]
+        GraphFeatures(np.array([[2.0]]), zeros, zeros, offsets,
+                      np.zeros((2, 1))),
+        GraphFeatures(np.array([[4.0]]), zeros, zeros, offsets,
+                      np.zeros((2, 1))), (0.001, 0.001, 0.001))[0, 0, 0]
     if abs(sim - 0.800) >= 1e-3:
         failures.append(f"sim_mg {sim}")
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pcqkit.config import Config
-from pcqkit.errors import UnknownFeatureName
 from pcqkit.metrics.pcqm import (DEFAULT_AGGREGATE_WEIGHTS, Correspondence,
                                  compute_pcqm_features, pcqm_aggregate,
                                  pcqm_compare)
@@ -67,8 +66,6 @@ def test_aggregate_weights():
     expected = (0.18 * d["f3"] + 0.44 * (1 - d["f4"]) + 0.38 * (1 - d["f6"]))
     assert pcqm_aggregate(feats) == pytest.approx(expected, abs=1e-15)
     assert sum(DEFAULT_AGGREGATE_WEIGHTS.values()) == 1.0
-    with pytest.raises(UnknownFeatureName):
-        pcqm_aggregate(feats, {"f9": 1.0})
 
 
 def test_constants_shift_similarity_features():
@@ -88,3 +85,13 @@ def test_correspondence_samples_nearest_color():
     assert corr.color_mode == "cielab"
     assert np.all(np.isfinite(corr.curvature))
     assert np.all(corr.lightness >= 0.0) and np.all(corr.lightness <= 100.0)
+
+
+def test_dist_radius_query_is_not_kept():
+    ref = surface_cloud(300, seed=13)
+    plan = PairPlan.build(ref, jitter(ref, 1.0, seed=14, color_sigma=3.0))
+    compute_pcqm_features(plan)
+    # the dist radius-h query lives only while PairPlan.corr is built
+    assert "corr" in vars(plan)
+    assert not any(isinstance(value, Neighbors)
+                   for value in vars(plan).values())
