@@ -33,9 +33,6 @@ from .regression import (MODEL_ALIASES, MODEL_REGISTRY, FusionModel,
 
 __all__ = ["main"]
 
-_METRIC_CHOICES = ("all", "d1", "d2", "yuv", "pointssim", "pcqm", "graphsim",
-                   "msgraphsim")
-
 
 class _UsageError(Exception):
     pass
@@ -46,6 +43,18 @@ class _Parser(argparse.ArgumentParser):
     # codes instead (1 = usage, 2 = data)
     def error(self, message):
         raise _UsageError(message)
+
+
+def _int_from(low):
+    """argparse type: an integer no smaller than low."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"     # argparse names it in "invalid int value"
+    return parse
 
 
 def _jsonable(value):
@@ -230,13 +239,12 @@ def _cmd_crossval(args):
     table = read_features_csv(args.features)
     model_name = MODEL_ALIASES.get(args.model, args.model)
     folds = group_kfold(table.groups(), args.folds, seed=seed)
-    mos = table.mos()
+    X, mos = make_model(model_name).select(table), table.mos()
     predicted = np.full(len(table), np.nan)
     for train_idx, test_idx in folds:
         fold_model = make_model(model_name)
-        fold_model.fit(fold_model.select(table)[train_idx], mos[train_idx])
-        predicted[test_idx] = fold_model.predict(
-            fold_model.select(table)[test_idx])
+        fold_model.fit(X[train_idx], mos[train_idx])
+        predicted[test_idx] = fold_model.predict(X[test_idx])
     report = evaluate([(model_name, predicted)], mos, table.mos_std())
     payload = report.as_dict()
     payload["folds"] = args.folds
@@ -265,12 +273,13 @@ def _build_parser() -> _Parser:
     p = add("metric", _cmd_metric, "compute metrics for one pair")
     p.add_argument("--ref", required=True)
     p.add_argument("--dist", required=True)
-    p.add_argument("--metric", choices=_METRIC_CHOICES, default="all")
+    p.add_argument("--metric", default="all",
+                   choices=("all", *METRIC_FAMILIES, "graphsim"))
     p.add_argument("--bitdepth", type=int)
 
     p = add("extract", _cmd_extract, "compute the feature table")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=_int_from(0))
     p.add_argument("--cache", help="feature cache directory")
     p.add_argument("--bitdepth", type=int)
     p.add_argument("--verbose", action="store_true")
@@ -285,7 +294,7 @@ def _build_parser() -> _Parser:
     p = add("rfe", _cmd_rfe, "rank features by recursive elimination")
     p.add_argument("--features", required=True)
     p.add_argument("--estimator", choices=("ridge", "svr"), default="ridge")
-    p.add_argument("--step", type=int, default=1)
+    p.add_argument("--step", type=_int_from(1), default=1)
     p.add_argument("--seed", type=int)
 
     p = add("predict", _cmd_predict, "apply a fusion model")
@@ -303,7 +312,7 @@ def _build_parser() -> _Parser:
     p = add("crossval", _cmd_crossval, "group-aware cross-validation")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--folds", type=int, default=10)
+    p.add_argument("--folds", type=_int_from(2), default=10)
     p.add_argument("--seed", type=int)
 
     return parser

@@ -81,10 +81,6 @@ class PointCloud:
         """Return a copy of this cloud carrying the given normals."""
         return PointCloud(self.positions, self.colors, normals, self.bit_depth)
 
-    def with_colors(self, colors) -> "PointCloud":
-        """Return a copy of this cloud carrying the given colors."""
-        return PointCloud(self.positions, colors, self.normals, self.bit_depth)
-
     def effective_bit_depth(self) -> int:
         """Declared bit depth, or one inferred from the coordinate range."""
         if self.bit_depth is not None:

@@ -151,10 +151,6 @@ def rgb_to_perceptual(rgb, table: "Lab2000HLTable | None" = None):
     return lab
 
 
-def rgb_to_gaussian(rgb, matrix=None):
+def rgb_to_gaussian(rgb):
     """Gaussian color model components (E, Elambda, Elambda-lambda)."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    m = GAUSSIAN_MATRIX if matrix is None else np.asarray(matrix, dtype=np.float64)
-    if m.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got {m.shape}")
-    return rgb @ m.T
+    return np.asarray(rgb, dtype=np.float64) @ GAUSSIAN_MATRIX.T

@@ -150,4 +150,7 @@ def load_config(path: Optional[str] = None, overrides: dict = None) -> Config:
             raise ConfigMismatch(
                 f"{name}: expected one of {', '.join(allowed)}, "
                 f"got {getattr(config, name)!r}")
+    jobs = config.pipeline_jobs
+    if jobs is not None and jobs < 0:
+        raise ConfigMismatch(f"pipeline_jobs: expected 0 or more, got {jobs}")
     return config

@@ -23,7 +23,7 @@ when deviations are not available).
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -257,13 +257,10 @@ class EvaluationReport:
     metrics: list                      # MetricReport, input order
     mos_min: float
     mos_max: float
-    normalized: bool = True
-    notes: dict = field(default_factory=dict)
 
     def as_dict(self):
         return {
             "mos_min": self.mos_min, "mos_max": self.mos_max,
-            "normalized": self.normalized, "notes": dict(self.notes),
             "metrics": [{
                 "name": m.name, "pcc": m.pcc, "srocc": m.srocc,
                 "rmse": m.rmse, "outlier_ratio": m.outlier_ratio,
@@ -290,8 +287,7 @@ class EvaluationReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate(named_scores, mos, mos_std=None,
-             normalize: bool = True) -> EvaluationReport:
+def evaluate(named_scores, mos, mos_std=None) -> EvaluationReport:
     """Benchmark metrics against MOS.
 
     named_scores is a sequence of (name, scores) pairs. MOS (and its
@@ -300,16 +296,11 @@ def evaluate(named_scores, mos, mos_std=None,
     """
     mos = np.asarray(mos, dtype=np.float64)
     mos_lo, mos_hi = float(mos.min()), float(mos.max())
-    if normalize:
-        if mos_hi == mos_lo:
-            raise DegenerateInput("MOS values are constant")
-        y = (mos - mos_lo) / (mos_hi - mos_lo)
-        std = (None if mos_std is None
-               else np.asarray(mos_std, dtype=np.float64) / (mos_hi - mos_lo))
-    else:
-        y = mos
-        std = None if mos_std is None else np.asarray(mos_std,
-                                                      dtype=np.float64)
+    if mos_hi == mos_lo:
+        raise DegenerateInput("MOS values are constant")
+    y = (mos - mos_lo) / (mos_hi - mos_lo)
+    std = (None if mos_std is None
+           else np.asarray(mos_std, dtype=np.float64) / (mos_hi - mos_lo))
     reports = []
     for name, scores in named_scores:
         fit = fit_logistic(scores, y)
@@ -321,4 +312,4 @@ def evaluate(named_scores, mos, mos_std=None,
             name=name, pcc=pcc, srocc=srocc, rmse=rmse,
             outlier_ratio=ratio, or_fallback=fallback,
             beta=tuple(float(b) for b in fit.beta), n=fit.n))
-    return EvaluationReport(reports, mos_lo, mos_hi, normalize)
+    return EvaluationReport(reports, mos_lo, mos_hi)

@@ -36,20 +36,17 @@ DEFAULT_AGGREGATE_WEIGHTS = {"f3": 0.18, "f4": 0.44, "f6": 0.38}
 class Correspondence:
     """Per-reference-point fields sampled from one source cloud."""
 
-    positions: np.ndarray    # (m, 3) the reference points themselves
     curvature: np.ndarray    # (m,) |mean curvature| of the source surface
     lightness: np.ndarray    # (m,) perceptual L
     chroma_a: np.ndarray     # (m,)
     chroma_b: np.ndarray     # (m,)
     chroma: np.ndarray       # (m,) sqrt(a^2 + b^2)
-    radius: float
-    color_mode: str          # "cielab" or "lab2000hl"
     plane_fallbacks: int
     degenerates: int
 
 
 def build_correspondence(ref: PointCloud, source: PointCloud, neighbors,
-                         nearest, h: float,
+                         nearest,
                          table: Optional[Lab2000HLTable]) -> Correspondence:
     """Sample the source surface at every ref point.
 
@@ -63,14 +60,11 @@ def build_correspondence(ref: PointCloud, source: PointCloud, neighbors,
     lab = rgb_to_perceptual(colors[nearest], table)
     a, b = lab[:, 1], lab[:, 2]
     return Correspondence(
-        positions=ref.positions,
         curvature=fit.curvatures,
         lightness=lab[:, 0],
         chroma_a=a,
         chroma_b=b,
         chroma=np.hypot(a, b),
-        radius=float(h),
-        color_mode="lab2000hl" if table is not None else "cielab",
         plane_fallbacks=int(fit.plane_fallback.sum()),
         degenerates=int(fit.degenerate.sum()),
     )
@@ -79,9 +73,6 @@ def build_correspondence(ref: PointCloud, source: PointCloud, neighbors,
 @dataclass(frozen=True)
 class PcqmFeatures:
     values: np.ndarray       # (8,) pooled features, each in [0, 1]
-    n_points: int
-    radius: float
-    color_mode: str
 
     def as_dict(self):
         return {name: float(v) for name, v in zip(FEATURE_NAMES, self.values)}
@@ -118,17 +109,16 @@ def compute_pcqm_features(plan) -> PcqmFeatures:
     ref point, compared with the reference's own fields."""
     reference = plan.reference
     return pcqm_compare(reference.corr, plan.corr, reference.pcqm_neighbors,
-                        plan.config)
+                        reference.pcqm_radius, plan.config)
 
 
 def pcqm_compare(corr_ref: Correspondence, corr_dist: Correspondence,
-                 neighbors, config) -> PcqmFeatures:
+                 neighbors, h: float, config) -> PcqmFeatures:
     """Pooled f1..f8 from two correspondences over the same reference
-    points and h, with constants config.pcqm_k1..pcqm_k8.
+    points, with constants config.pcqm_k1..pcqm_k8.
 
     neighbors: the radius-h self query of the reference points.
     """
-    h = corr_ref.radius
     seg = _Segments(neighbors, sigma=h / 3.0)
     k1, k2, k3, k4, k5, k6, k7, k8 = (getattr(config, f"pcqm_k{i}")
                                       for i in range(1, 9))
@@ -171,8 +161,7 @@ def pcqm_compare(corr_ref: Correspondence, corr_dist: Correspondence,
     f8 = 1.0 / (k8 * mean_dh * mean_dh + 1.0)
 
     stacked = np.clip(np.stack([f1, f2, f3, f4, f5, f6, f7, f8]), 0.0, 1.0)
-    return PcqmFeatures(stacked.mean(axis=1), len(corr_ref.positions), h,
-                        corr_ref.color_mode)
+    return PcqmFeatures(stacked.mean(axis=1))
 
 
 def pcqm_aggregate(features: PcqmFeatures) -> float:

@@ -12,8 +12,6 @@ entry point, pointssim_score, reads both k-NN self queries, the nearest
 matches and the settings from a PairPlan.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..cloud import PointCloud
@@ -65,20 +63,10 @@ ESTIMATORS = {
 }
 
 
-@dataclass(frozen=True)
-class DispersionField:
-    """Per-point dispersion values plus the settings that produced them."""
-
-    values: np.ndarray
-    attribute: str
-    estimator: str
-    k: int
-
-
 def extract_dispersion(cloud: PointCloud, knn, attribute: str,
-                       config) -> DispersionField:
-    """Dispersion of an attribute over each point's k-NN neighborhood,
-    k = config.pointssim_k.
+                       config) -> np.ndarray:
+    """(n,) dispersion of an attribute over each point's k-NN
+    neighborhood, k = config.pointssim_k.
 
     knn: (indices, distances) of a self query of the cloud with k or
     more columns; its first k columns equal a k-query. The neighborhood
@@ -97,16 +85,16 @@ def extract_dispersion(cloud: PointCloud, knn, attribute: str,
         rows = dst
     else:
         rows = luminance(cloud.require_colors("luminance PointSSIM"))[idx]
-    return DispersionField(fn(rows), attribute, estimator, int(k))
+    return fn(rows)
 
 
-def pointssim_pool(ref_field: DispersionField, dist_field: DispersionField,
-                   nearest, exponent: float) -> float:
+def pointssim_pool(ref_values, dist_values, nearest,
+                   exponent: float) -> float:
     """Mean of S^exponent over the dist points, each compared against
     its nearest reference point (nearest: one ref index per dist point).
     """
-    fx = ref_field.values[nearest]
-    fy = dist_field.values
+    fx = ref_values[nearest]
+    fy = dist_values
     s = np.abs(fx - fy) / (np.maximum(np.abs(fx), np.abs(fy)) + EPS)
     return float(np.mean(s ** exponent))
 
@@ -114,8 +102,8 @@ def pointssim_pool(ref_field: DispersionField, dist_field: DispersionField,
 def pointssim_score(plan, attribute: str) -> float:
     """Pooled dissimilarity of a PairPlan's dist against its ref for one
     attribute ("luminance" or "geometry")."""
-    ref_field = plan.reference.fields[attribute]
-    dist_field = extract_dispersion(plan.dist, plan.dist_knn, attribute,
-                                    plan.config)
-    return pointssim_pool(ref_field, dist_field, plan.nearest_forward[0],
+    dist_values = extract_dispersion(plan.dist, plan.dist_knn, attribute,
+                                     plan.config)
+    return pointssim_pool(plan.reference.fields[attribute], dist_values,
+                          plan.nearest_forward[0],
                           plan.config.pointssim_pooling_exponent)

@@ -28,9 +28,6 @@ class PsnrResult:
     psnr_db: float          # +inf when the symmetric MSE is zero
     peak: float
 
-    def capped(self, cap_db: float) -> float:
-        return min(self.psnr_db, cap_db)
-
 
 @dataclass(frozen=True)
 class YuvResult:
@@ -38,7 +35,6 @@ class YuvResult:
     u: PsnrResult
     v: PsnrResult
     psnr_combined: float
-    cap_db: float
 
 
 def _psnr_db(mse: float, peak: float, k: float) -> float:
@@ -91,7 +87,6 @@ def compute_yuv(plan) -> YuvResult:
     infinities with psnr_cap_db.
     """
     config = plan.config
-    cap_db = config.psnr_cap_db
     ycc_ref = plan.reference.ycc
     ycc_dist = rgb_to_ycbcr(plan.dist.require_colors("YUV PSNR"),
                             config.psnr_ycbcr_matrix)
@@ -111,8 +106,8 @@ def compute_yuv(plan) -> YuvResult:
     y, u, v = results
 
     def finite(val):
-        return cap_db if math.isinf(val) else val
+        return config.psnr_cap_db if math.isinf(val) else val
 
     combined = (6.0 * finite(y.psnr_db) + finite(u.psnr_db)
                 + finite(v.psnr_db)) / 8.0
-    return YuvResult(y, u, v, combined, cap_db)
+    return YuvResult(y, u, v, combined)

@@ -54,7 +54,6 @@ FEATURE_COLUMNS = (
 )
 
 _MANIFEST_REQUIRED = ("group_id", "ref_path", "dist_path", "mos")
-_MANIFEST_OPTIONAL = ("mos_std", "codec", "rate")
 
 
 @dataclass(frozen=True)
@@ -330,11 +329,6 @@ class FeatureTable:
 
     def groups(self):
         return [r.group_id for r in self.rows]
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.feature_names:
-            raise SchemaMismatch(f"no feature column {name!r}")
-        return self.values[:, self.feature_names.index(name)]
 
 
 def extract_features(rows, config: Config = None, jobs: int = None,

@@ -112,7 +112,7 @@ class ReferenceContext:
 
     @cached_property
     def fields(self) -> dict:
-        """attribute -> PointSSIM DispersionField."""
+        """attribute -> (n,) PointSSIM dispersion values."""
         return {attribute: extract_dispersion(self.cloud, self.knn,
                                               attribute, self.config)
                 for attribute in ("luminance", "geometry")}
@@ -137,7 +137,7 @@ class ReferenceContext:
         """The reference's own PCQM fields: its correspondence to itself."""
         return build_correspondence(self.cloud, self.cloud,
                                     self.pcqm_neighbors, self.knn[0][:, 0],
-                                    self.pcqm_radius, self.lab_table)
+                                    self.lab_table)
 
     @cached_property
     def graphsim(self):
@@ -214,8 +214,7 @@ class PairPlan:
             self.ref, self.dist,
             self.dist_index.radius_batch(self.ref.positions,
                                          reference.pcqm_radius),
-            self.nearest_backward[0], reference.pcqm_radius,
-            reference.lab_table)
+            self.nearest_backward[0], reference.lab_table)
 
     @cached_property
     def graphsim_neighbors(self):

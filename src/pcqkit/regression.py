@@ -1,7 +1,7 @@
 """Feature scaling, regressors, feature selection and the fusion models.
 
 The learnable pieces follow the familiar estimator protocol: construct
-with hyperparameters, fit(X, y), predict(X), get_params/set_params.
+with hyperparameters, fit(X, y), predict(X), get_params.
 Ridge regression is solved in closed form on centered data; the RBF
 support vector regressor solves its dual by sequential pairwise (SMO)
 updates with a maximal-violating-pair working set. Recursive feature
@@ -205,6 +205,10 @@ class RbfSvr(ParamMixin):
         return K @ self.dual_coef_ + self.intercept_
 
 
+# regressor kind -> estimator class, for RFE and the fusion models
+_ESTIMATORS = {"ridge": RidgeRegression, "svr": RbfSvr}
+
+
 # ---------------------------------------------------------------------------
 # recursive feature elimination
 
@@ -253,13 +257,10 @@ def rfe_rank(X, y, estimator: str = "ridge", step: int = 1, seed: int = 0,
     X, y = check_paired(X, y)
     if step < 1:
         raise ValueError("step must be >= 1")
-    params = estimator_params or {}
-    if estimator == "ridge":
-        make = lambda: RidgeRegression(**({"alpha": 1.0} | params))
-    elif estimator == "svr":
-        make = lambda: RbfSvr(**params)
-    else:
+    if estimator not in _ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}")
+    make = _ESTIMATORS[estimator]
+    params = estimator_params or {}
     p = X.shape[1]
     names = list(names) if names is not None else [f"x{i}" for i in range(p)]
     if len(names) != p:
@@ -272,7 +273,7 @@ def rfe_rank(X, y, estimator: str = "ridge", step: int = 1, seed: int = 0,
     round_idx = 0
     while survivors:
         sub = scaled[:, survivors]
-        model = make().fit(sub, y)
+        model = make(**params).fit(sub, y)
         imp = _importances(model, sub, y, seed, round_idx)
         rounds.append((tuple(survivors), imp))
         order = np.lexsort((np.arange(len(survivors)), imp))
@@ -345,6 +346,8 @@ class FusionModel:
     """A named feature subset + scaler + regressor, JSON-serializable."""
 
     def __init__(self, name, feature_names, regressor="ridge", params=None):
+        if regressor not in _ESTIMATORS:
+            raise UnknownModel(f"unknown regressor kind {regressor!r}")
         self.name = name
         self.feature_names = list(feature_names)
         self.regressor = regressor
@@ -352,13 +355,6 @@ class FusionModel:
         self.scaler = None
         self.estimator = None
         self.metadata = {}
-
-    def _make_estimator(self):
-        if self.regressor == "ridge":
-            return RidgeRegression(**({"alpha": 1.0} | self.params))
-        if self.regressor == "svr":
-            return RbfSvr(**self.params)
-        raise UnknownModel(f"unknown regressor kind {self.regressor!r}")
 
     def select(self, table):
         """Pull this model's feature columns out of a feature table."""
@@ -377,7 +373,7 @@ class FusionModel:
                 f"expected {len(self.feature_names)} feature columns, "
                 f"got {X.shape[1]}")
         self.scaler = MinMaxScaler()
-        self.estimator = self._make_estimator()
+        self.estimator = _ESTIMATORS[self.regressor](**self.params)
         self.estimator.fit(self.scaler.fit_transform(X), y)
         self.metadata = dict(metadata or {})
         self.metadata["n_rows"] = int(X.shape[0])
@@ -426,7 +422,7 @@ class FusionModel:
         model.metadata = dict(state.get("metadata", {}))
         model.scaler = MinMaxScaler.from_state(state["scaler"]["min"],
                                                state["scaler"]["max"])
-        model.estimator = model._make_estimator()
+        model.estimator = _ESTIMATORS[model.regressor](**model.params)
         if model.regressor == "ridge":
             model.estimator.coef_ = np.asarray(state["coef"], dtype=np.float64)
             model.estimator.intercept_ = float(state["intercept"])

@@ -73,28 +73,15 @@ def check_paired(X, y):
 
 
 class ParamMixin:
-    """Minimal sklearn-style get_params/set_params for estimators.
+    """Minimal sklearn-style get_params for estimators.
 
     Parameters are whatever the subclass __init__ accepts; they must be
     stored under the same attribute name, unchanged, inside __init__.
     """
 
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
     def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(
-                    f"invalid parameter {key!r} for {type(self).__name__}")
-            setattr(self, key, value)
-        return self
+        names = inspect.signature(type(self).__init__).parameters
+        return {name: getattr(self, name) for name in names if name != "self"}
 
     def __repr__(self):
         args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 from pcqkit.cloud import PointCloud
+
+# the CLI tests run `python -m pcqkit` in child processes, which find the
+# package through PYTHONPATH, as this process does through pyproject.toml
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 def surface_cloud(n: int, seed: int, span: float = 200.0) -> PointCloud:

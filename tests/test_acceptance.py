@@ -23,7 +23,7 @@ from pcqkit.evaluation import (error_stats, evaluate, fit_logistic, logistic,
 from pcqkit.io_ply import save_ply
 from pcqkit.metrics.graphsim import GraphFeatures, graph_pair_sims
 from pcqkit.metrics.pcqm import Correspondence, pcqm_compare
-from pcqkit.metrics.pointssim import DispersionField, pointssim_pool
+from pcqkit.metrics.pointssim import pointssim_pool
 from pcqkit.metrics.psnr import compute_d1, compute_d2, compute_yuv
 from pcqkit.pipeline import (FEATURE_COLUMNS, PairPlan, compute_pair_metrics,
                              feature_vector, read_features_csv)
@@ -155,10 +155,8 @@ def test_criterion_03_hand_values():
     if abs(y - 28.130804) >= 1e-2:
         failures.append(f"psnr_y {y}")
 
-    score = pointssim_pool(
-        DispersionField(np.array([2.0 / 3.0]), "luminance", "variance", 12),
-        DispersionField(np.array([38.0 / 3.0]), "luminance", "variance", 12),
-        np.array([0]), 1.0)
+    score = pointssim_pool(np.array([2.0 / 3.0]), np.array([38.0 / 3.0]),
+                           np.array([0]), 1.0)
     if abs(score - 0.9473684) >= 1e-3:
         failures.append(f"pointssim {score}")
 
@@ -175,13 +173,12 @@ def test_criterion_03_hand_values():
     def toy(curvature):
         one = np.array([1.0])
         return Correspondence(
-            positions=np.zeros((1, 3)), curvature=np.array([curvature]),
+            curvature=np.array([curvature]),
             lightness=50.0 * one, chroma_a=one, chroma_b=one,
-            chroma=np.sqrt(2.0) * one, radius=1.0, color_mode="cielab",
-            plane_fallbacks=0, degenerates=0)
+            chroma=np.sqrt(2.0) * one, plane_fallbacks=0, degenerates=0)
 
     own = Neighbors(np.array([0]), np.array([0.0]), np.array([0, 1]))
-    f1 = pcqm_compare(toy(1.0), toy(3.0), own,
+    f1 = pcqm_compare(toy(1.0), toy(3.0), own, 1.0,
                       Config(pcqm_k1=0.0)).as_dict()["f1"]
     if abs(f1 - 2.0 / 3.0) >= 1e-3:
         failures.append(f"pcqm f1 {f1}")

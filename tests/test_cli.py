@@ -203,14 +203,19 @@ def test_data_errors_exit_2(corpus, tmp_path):
     assert "row" in err.lower()
 
 
-def test_config_seed_is_the_default_seed(tmp_path):
+def _random_features(path):
+    """An 18-row feature table of 6 groups with uniform random values."""
     rng = np.random.default_rng(4)
     rows = [ManifestRow(f"g{i % 6}", f"r{i % 6}.ply", f"d{i}.ply",
                         float(rng.uniform(1, 5))) for i in range(18)]
-    features = tmp_path / "features.csv"
     write_features_csv(FeatureTable(rows, FEATURE_COLUMNS,
                                     rng.uniform(size=(18, 23)), "abc"),
-                       features)
+                       path)
+    return path
+
+
+def test_config_seed_is_the_default_seed(tmp_path):
+    features = _random_features(tmp_path / "features.csv")
     ini = tmp_path / "seed.ini"
     ini.write_text("[pipeline]\nseed = 5\n")
 
@@ -258,3 +263,45 @@ def test_extract_reports_bad_rows_and_writes_no_table(corpus, tmp_path):
     assert "manifest line 3 (cut.ply)" in err
     assert not out.exists()
     assert len(os.listdir(cache)) == 4
+
+
+@pytest.mark.parametrize("argv, code, named", [
+    (("extract", "--jobs", "-1"), 1, "--jobs"),
+    (("extract", "--config", "jobs.ini"), 2, "pipeline_jobs"),
+    (("rfe", "--step", "0"), 1, "--step"),
+    (("crossval", "--model", "fsm", "--folds", "0"), 1, "--folds"),
+    (("crossval", "--model", "fsm", "--folds", "-2"), 1, "--folds"),
+    (("crossval", "--model", "fsm", "--folds", "1"), 1, "--folds")],
+    ids=["jobs", "ini-jobs", "step", "folds-0", "folds-neg", "folds-1"])
+def test_out_of_range_counts_are_refused(corpus, tmp_path, argv, code,
+                                         named):
+    (tmp_path / "jobs.ini").write_text("[pipeline]\njobs = -1\n")
+    argv = tuple(str(tmp_path / a) if a.endswith(".ini") else a
+                 for a in argv)
+    if argv[0] == "extract":
+        argv += ("--manifest", str(corpus / "manifest.csv"))
+    else:
+        argv += ("--features", str(_random_features(tmp_path / "f.csv")))
+    got, out, err = run_cli(*argv, "--out", str(tmp_path / "out"))
+    assert got == code, err
+    assert named in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("regressor", "forest", "unknown regressor kind 'forest'"),
+    ("schema_version", 2, "unsupported model schema 2")],
+    ids=["regressor", "schema"])
+def test_predict_refuses_unknown_model_file(tmp_path, key, value, message):
+    features = _random_features(tmp_path / "features.csv")
+    model = tmp_path / "model.json"
+    code, _, err = run_cli("train", "--features", str(features), "--model",
+                           "fsm", "--out", str(model))
+    assert code == 0, err
+    state = json.loads(model.read_text())
+    state[key] = value
+    model.write_text(json.dumps(state))
+    code, _, err = run_cli("predict", "--model", str(model), "--features",
+                           str(features), "--out", str(tmp_path / "s.csv"))
+    assert code == 2
+    assert message in err and "Traceback" not in err

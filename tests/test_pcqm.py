@@ -11,14 +11,12 @@ from pcqkit.spatial import Neighbors
 from conftest import jitter, surface_cloud
 
 
-def _toy_correspondence(curvature, radius=1.0):
-    pos = np.array([[0.0, 0.0, 0.0]])
+def _toy_correspondence(curvature):
     one = np.array([1.0])
     return Correspondence(
-        positions=pos, curvature=np.array([float(curvature)]),
+        curvature=np.array([float(curvature)]),
         lightness=50.0 * one, chroma_a=one, chroma_b=one,
-        chroma=np.sqrt(2.0) * one, radius=radius, color_mode="cielab",
-        plane_fallbacks=0, degenerates=0)
+        chroma=np.sqrt(2.0) * one, plane_fallbacks=0, degenerates=0)
 
 
 # the toy's one point is its own only neighbour
@@ -29,7 +27,7 @@ def test_f1_toy_hand_value():
     # curvature means 1 vs 3 with k1 = 0: f1 = |1-3| / max(1,3) = 2/3
     ref = _toy_correspondence(1.0)
     dist = _toy_correspondence(3.0)
-    feats = pcqm_compare(ref, dist, _SELF, Config(pcqm_k1=0.0))
+    feats = pcqm_compare(ref, dist, _SELF, 1.0, Config(pcqm_k1=0.0))
     assert abs(feats.as_dict()["f1"] - 2.0 / 3.0) < 1e-3
 
 
@@ -71,9 +69,9 @@ def test_aggregate_weights():
 def test_constants_shift_similarity_features():
     ref = _toy_correspondence(1.0)
     dist = _toy_correspondence(3.0)
-    small_k = pcqm_compare(ref, dist, _SELF,
+    small_k = pcqm_compare(ref, dist, _SELF, 1.0,
                            Config(pcqm_k1=1e-8)).as_dict()["f1"]
-    big_k = pcqm_compare(ref, dist, _SELF,
+    big_k = pcqm_compare(ref, dist, _SELF, 1.0,
                          Config(pcqm_k1=10.0)).as_dict()["f1"]
     assert big_k < small_k  # a large stabilizer damps the contrast
 
@@ -81,8 +79,7 @@ def test_constants_shift_similarity_features():
 def test_correspondence_samples_nearest_color():
     ref = surface_cloud(300, seed=12)
     corr = ReferenceContext.build(ref).corr
-    assert corr.positions.shape == (300, 3)
-    assert corr.color_mode == "cielab"
+    assert corr.curvature.shape == (300,)
     assert np.all(np.isfinite(corr.curvature))
     assert np.all(corr.lightness >= 0.0) and np.all(corr.lightness <= 100.0)
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from pcqkit.config import Config
-from pcqkit.metrics.pointssim import (ESTIMATORS, DispersionField,
-                                      extract_dispersion, pointssim_pool,
-                                      pointssim_score)
+from pcqkit.metrics.pointssim import (ESTIMATORS, extract_dispersion,
+                                      pointssim_pool, pointssim_score)
 from pcqkit.plan import PairPlan
 from pcqkit.spatial import build_index
 
@@ -36,11 +35,8 @@ def test_estimator_catalog():
 
 def test_single_point_hand_value():
     # fields 2/3 vs 38/3: S = 12 / (38/3 + eps) ~= 0.947
-    ref_field = DispersionField(np.array([2.0 / 3.0]), "luminance",
-                                "variance", 12)
-    dist_field = DispersionField(np.array([38.0 / 3.0]), "luminance",
-                                 "variance", 12)
-    pooled = pointssim_pool(ref_field, dist_field, np.array([0]), 1.0)
+    pooled = pointssim_pool(np.array([2.0 / 3.0]), np.array([38.0 / 3.0]),
+                            np.array([0]), 1.0)
     assert abs(pooled - 0.9473684) < 1e-3
 
 
