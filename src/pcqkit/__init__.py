@@ -4,7 +4,7 @@ __version__ = "0.1.0"
 
 from .cloud import BoundingBox, PointCloud, bounding_box, infer_bit_depth
 from .config import Config, load_config
-from .evaluation import correlation_stats, error_stats, evaluate, fit_logistic
+from .evaluation import error_stats, evaluate, fit_logistic
 from .io_ply import load_ply, save_ply
 from .metrics.graphsim import msgraphsim_score
 from .metrics.pcqm import (build_correspondence, compute_pcqm_features,
@@ -36,6 +36,6 @@ __all__ = [
     "write_features_csv",
     "MinMaxScaler", "RidgeRegression", "RbfSvr", "rfe_rank", "group_kfold",
     "MODEL_REGISTRY", "FusionModel", "make_model",
-    "fit_logistic", "correlation_stats", "error_stats", "evaluate",
+    "fit_logistic", "error_stats", "evaluate",
     "__version__",
 ]

@@ -89,6 +89,8 @@ def _config_from(args):
         overrides["cloud_bit_depth"] = args.bitdepth
     if getattr(args, "jobs", None) is not None:
         overrides["pipeline_jobs"] = args.jobs
+    if getattr(args, "cache", None) is not None:
+        overrides["pipeline_cache_dir"] = args.cache
     if getattr(args, "seed", None) is not None:
         overrides["pipeline_seed"] = args.seed
     return load_config(args.config, overrides)
@@ -141,8 +143,7 @@ def _cmd_extract(args):
         print(f"[{i + 1}/{n}] {row.dist_path} {tag}", file=sys.stderr)
 
     table, stats = extract_features(
-        rows, config, jobs=args.jobs, cache_dir=args.cache,
-        progress=progress if args.verbose else None)
+        rows, config, progress=progress if args.verbose else None)
     write_features_csv(table, args.out)
     print(f"wrote {stats['n_rows']} rows to {args.out} "
           f"({stats['n_computed']} computed, {stats['n_cached']} cached)",

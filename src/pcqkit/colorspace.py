@@ -58,9 +58,9 @@ def rgb_to_ycbcr(rgb, matrix: str = "bt709"):
     return np.clip(out, 0.0, 255.0)
 
 
-def luminance(rgb, matrix: str = "bt709"):
-    """Just the Y channel of rgb_to_ycbcr."""
-    return rgb_to_ycbcr(rgb, matrix)[..., 0]
+def luminance(rgb):
+    """Just the BT.709 Y channel of rgb_to_ycbcr."""
+    return rgb_to_ycbcr(rgb)[..., 0]
 
 
 def _srgb_linear(c):

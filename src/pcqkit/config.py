@@ -83,10 +83,16 @@ def config_hash(config: Config) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def _convert(name: str, raw: str, target_type):
+def _convert(name: str, raw: str, annotation):
+    # Optional[T] parses like T and alone takes None, spelled "none"
     raw = raw.strip()
+    args = typing.get_args(annotation)
+    target_type = args[0] if args else annotation
     if raw.lower() in ("", "none"):
-        return None
+        if type(None) in args:
+            return None
+        raise ConfigMismatch(
+            f"{name}: expected {target_type.__name__}, got {raw!r}")
     if target_type is bool:
         lowered = raw.lower()
         if lowered in ("1", "true", "yes", "on"):
@@ -104,16 +110,7 @@ def _convert(name: str, raw: str, target_type):
     return value
 
 
-def _base_type(annotation):
-    # Optional[T] parses like T; None is spelled "none" in the file
-    if typing.get_origin(annotation) is typing.Union:
-        annotation = next(a for a in typing.get_args(annotation)
-                          if a is not type(None))
-    return annotation
-
-
-_FIELD_TYPES = {name: _base_type(hint)
-                for name, hint in typing.get_type_hints(Config).items()}
+_FIELD_TYPES = typing.get_type_hints(Config)
 
 
 def load_config(path: Optional[str] = None, overrides: dict = None) -> Config:
@@ -150,7 +147,7 @@ def load_config(path: Optional[str] = None, overrides: dict = None) -> Config:
             raise ConfigMismatch(
                 f"{name}: expected one of {', '.join(allowed)}, "
                 f"got {getattr(config, name)!r}")
-    jobs = config.pipeline_jobs
-    if jobs is not None and jobs < 0:
-        raise ConfigMismatch(f"pipeline_jobs: expected 0 or more, got {jobs}")
+    if config.pipeline_jobs < 0:
+        raise ConfigMismatch(
+            f"pipeline_jobs: expected 0 or more, got {config.pipeline_jobs}")
     return config

@@ -23,8 +23,7 @@ when deviations are not available).
 """
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -33,8 +32,7 @@ from .errors import DegenerateInput
 from .validation import check_paired
 
 __all__ = ["logistic", "fit_logistic", "LogisticFit", "pearson", "spearman",
-           "correlation_stats", "error_stats", "MetricReport", "evaluate",
-           "EvaluationReport"]
+           "error_stats", "MetricReport", "evaluate", "EvaluationReport"]
 
 
 def logistic(x, beta):
@@ -71,16 +69,10 @@ def spearman(x, y) -> float:
     return pearson(_rank_average(x), _rank_average(y))
 
 
-def correlation_stats(scores, mos):
-    """(pearson, spearman) of scores against MOS."""
-    return pearson(scores, mos), spearman(scores, mos)
-
-
 @dataclass(frozen=True)
 class LogisticFit:
     beta: np.ndarray
     rmse: float
-    n: int
 
     def __call__(self, x):
         return logistic(x, self.beta)
@@ -215,7 +207,7 @@ def fit_logistic(scores, mos) -> LogisticFit:
             sse = float(r @ r)
             if sse < best_sse:
                 best_beta, best_sse = beta, sse
-    return LogisticFit(best_beta, float(np.sqrt(best_sse / len(x))), len(x))
+    return LogisticFit(best_beta, float(np.sqrt(best_sse / len(x))))
 
 
 def error_stats(predicted, mos, mos_std=None):
@@ -259,15 +251,7 @@ class EvaluationReport:
     mos_max: float
 
     def as_dict(self):
-        return {
-            "mos_min": self.mos_min, "mos_max": self.mos_max,
-            "metrics": [{
-                "name": m.name, "pcc": m.pcc, "srocc": m.srocc,
-                "rmse": m.rmse, "outlier_ratio": m.outlier_ratio,
-                "or_fallback": m.or_fallback, "beta": list(m.beta),
-                "n": m.n,
-            } for m in self.metrics],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
@@ -311,5 +295,5 @@ def evaluate(named_scores, mos, mos_std=None) -> EvaluationReport:
         reports.append(MetricReport(
             name=name, pcc=pcc, srocc=srocc, rmse=rmse,
             outlier_ratio=ratio, or_fallback=fallback,
-            beta=tuple(float(b) for b in fit.beta), n=fit.n))
+            beta=tuple(float(b) for b in fit.beta), n=len(fitted)))
     return EvaluationReport(reports, mos_lo, mos_hi)

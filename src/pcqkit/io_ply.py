@@ -7,7 +7,6 @@ vertex element (faces etc.) are ignored.
 """
 
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -119,11 +118,11 @@ def _triplet(records, element, names, what):
     return np.column_stack(cols)
 
 
-def load_ply(path, bit_depth: Optional[int] = None) -> PointCloud:
+def load_ply(path) -> PointCloud:
     """Load a PLY point cloud.
 
-    bit_depth overrides the depth later inferred from coordinates; PLY has
-    no standard slot for it, so datasets must supply it out of band.
+    PLY has no standard slot for the bit depth, so the cloud infers it
+    from its coordinates unless the configuration supplies one.
     """
     try:
         stream = open(path, "rb")
@@ -183,7 +182,7 @@ def load_ply(path, bit_depth: Optional[int] = None) -> PointCloud:
             raise MalformedHeader("vertex element lacks x/y/z properties")
         colors = _triplet(records, vertex, _COLOR_PROPS, "color")
         normals = _triplet(records, vertex, _NORMAL_PROPS, "normal")
-    return PointCloud(positions, colors, normals, bit_depth)
+    return PointCloud(positions, colors, normals)
 
 
 def _format_ascii(value: float) -> str:

@@ -331,26 +331,22 @@ class FeatureTable:
         return [r.group_id for r in self.rows]
 
 
-def extract_features(rows, config: Config = None, jobs: int = None,
-                     cache_dir: str = None, progress=None):
+def extract_features(rows, config: Config = None, progress=None):
     """Compute the feature table for manifest rows.
 
     Returns (FeatureTable, stats) where stats counts cache hits and
-    fresh computations. jobs=1 stays in-process; 0 or None uses the
-    configured worker count (0 meaning one per CPU). Pending rows are
-    grouped by reference so each task builds one ReferenceContext for
-    several distortions; rows keep manifest order regardless of
-    completion order. A row that fails does not stop the others: every
-    row is attempted, good rows are cached, and then one PcqkitError
-    names each failed manifest line and its error.
+    fresh computations. config.pipeline_jobs = 1 stays in-process and 0
+    means one worker per CPU; config.pipeline_cache_dir, when set, holds
+    the per-pair cache. Pending rows are grouped by reference so each
+    task builds one ReferenceContext for several distortions; rows keep
+    manifest order regardless of completion order. A row that fails
+    does not stop the others: every row is attempted, good rows are
+    cached, and then one PcqkitError names each failed manifest line and
+    its error.
     """
     config = config or Config()
-    if jobs is None:
-        jobs = config.pipeline_jobs
-    if jobs == 0:
-        jobs = os.cpu_count() or 1
-    if cache_dir is None:
-        cache_dir = config.pipeline_cache_dir
+    jobs = config.pipeline_jobs or os.cpu_count() or 1
+    cache_dir = config.pipeline_cache_dir
 
     values = np.full((len(rows), len(FEATURE_COLUMNS)), np.nan)
     failures = {}

@@ -1,7 +1,7 @@
 """Feature scaling, regressors, feature selection and the fusion models.
 
 The learnable pieces follow the familiar estimator protocol: construct
-with hyperparameters, fit(X, y), predict(X), get_params.
+with hyperparameters, fit(X, y), predict(X).
 Ridge regression is solved in closed form on centered data; the RBF
 support vector regressor solves its dual by sequential pairwise (SMO)
 updates with a maximal-violating-pair working set. Recursive feature
@@ -18,36 +18,23 @@ import numpy as np
 
 from .errors import (MissingFeatureColumn, NonConvergence, SingularSystem,
                      TooFewGroups, UnknownModel)
-from .validation import ParamMixin, check_matrix_2d, check_paired
+from .validation import check_matrix_2d, check_paired
 
 __all__ = ["MinMaxScaler", "RidgeRegression", "RbfSvr", "rbf_kernel",
            "svr_dual_objective", "FeatureRanking", "rfe_rank", "group_kfold",
            "MODEL_REGISTRY", "FusionModel", "make_model"]
 
 
-class MinMaxScaler(ParamMixin):
+class MinMaxScaler:
     """Per-feature min-max scaling to [0, 1] with clamping.
 
-    Columns that are constant on the training data map to 0 and are
-    recorded in constant_features_.
+    Columns that are constant on the training data map to 0.
     """
 
     def fit(self, X):
         X = check_matrix_2d(X)
-        return self._set_range(X.min(axis=0), X.max(axis=0))
-
-    @classmethod
-    def from_state(cls, min_, max_) -> "MinMaxScaler":
-        """A fitted scaler from saved per-feature minima and maxima."""
-        return cls()._set_range(np.asarray(min_, dtype=np.float64),
-                                np.asarray(max_, dtype=np.float64))
-
-    def _set_range(self, min_, max_):
-        self.min_ = min_
-        self.max_ = max_
-        span = max_ - min_
-        self.constant_features_ = [int(i) for i in np.where(span == 0.0)[0]]
-        self.span_ = np.where(span == 0.0, 1.0, span)
+        self.min_ = X.min(axis=0)
+        self.max_ = X.max(axis=0)
         return self
 
     def transform(self, X):
@@ -55,16 +42,17 @@ class MinMaxScaler(ParamMixin):
         if X.shape[1] != self.min_.shape[0]:
             raise ValueError(
                 f"expected {self.min_.shape[0]} features, got {X.shape[1]}")
-        scaled = (X - self.min_) / self.span_
-        if self.constant_features_:
-            scaled[:, self.constant_features_] = 0.0
+        span = self.max_ - self.min_
+        constant = span == 0.0
+        scaled = (X - self.min_) / np.where(constant, 1.0, span)
+        scaled[:, constant] = 0.0
         return np.clip(scaled, 0.0, 1.0)
 
     def fit_transform(self, X):
         return self.fit(X).transform(X)
 
 
-class RidgeRegression(ParamMixin):
+class RidgeRegression:
     """L2-regularized least squares, solved in closed form.
 
     Data is centered first, so the intercept is not penalized:
@@ -111,33 +99,26 @@ def svr_dual_objective(K, y, epsilon: float, beta):
                  + y @ beta)
 
 
-class RbfSvr(ParamMixin):
+class RbfSvr:
     """Epsilon-insensitive support vector regression, RBF kernel.
 
     The dual QP over (alpha, alpha*) is solved by repeated analytic
     updates of the maximal violating pair until the KKT gap drops below
-    tol. gamma="scale" mirrors the common 1 / (n_features * var(X))
-    heuristic.
+    tol. The kernel width follows the common "scale" heuristic,
+    gamma = 1 / (n_features * var(X)).
     """
 
-    def __init__(self, C=1.0, epsilon=0.1, gamma="scale", tol=1e-3,
-                 max_iter=200_000):
+    def __init__(self, C=1.0, epsilon=0.1, tol=1e-3, max_iter=200_000):
         self.C = C
         self.epsilon = epsilon
-        self.gamma = gamma
         self.tol = tol
         self.max_iter = max_iter
-
-    def _resolve_gamma(self, X):
-        if self.gamma == "scale":
-            var = X.var()
-            return 1.0 / (X.shape[1] * var) if var > 0 else 1.0
-        return float(self.gamma)
 
     def fit(self, X, y):
         X, y = check_paired(X, y)
         n = X.shape[0]
-        gamma = self._resolve_gamma(X)
+        var = X.var()
+        gamma = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
         K = rbf_kernel(X, X, gamma)
         C, eps = float(self.C), float(self.epsilon)
 
@@ -148,16 +129,19 @@ class RbfSvr(ParamMixin):
         f_raw = np.zeros(n)          # K @ beta, maintained incrementally
         gap = math.inf
 
-        for it in range(int(self.max_iter)):
+        for _ in range(int(self.max_iter)):
             g_a = f_raw + eps - y    # gradient, alpha block
             g_s = -f_raw + eps + y   # gradient, alphastar block
             grad = np.concatenate([g_a, g_s])
             score = -d * grad
             up = (z < C) & (d > 0) | (z > 0) & (d < 0)
             low = (z > 0) & (d > 0) | (z < C) & (d < 0)
-            i = int(np.argmax(np.where(up, score, -np.inf)))
-            j = int(np.argmin(np.where(low, score, np.inf)))
-            gap = score[i] - score[j]
+            # masked, so an empty side (C = 0) reads as -inf / inf
+            up_score = np.where(up, score, -np.inf)
+            low_score = np.where(low, score, np.inf)
+            i, j = int(np.argmax(up_score)), int(np.argmin(low_score))
+            m, big = up_score[i], low_score[j]
+            gap = m - big
             if gap <= self.tol:
                 break
 
@@ -181,17 +165,10 @@ class RbfSvr(ParamMixin):
                 f"SMO did not reach tol={self.tol} within "
                 f"{self.max_iter} iterations (gap {gap:.3e})")
 
-        score = -d * np.concatenate([f_raw + eps - y, -f_raw + eps + y])
-        up = (z < C) & (d > 0) | (z > 0) & (d < 0)
-        low = (z > 0) & (d > 0) | (z < C) & (d < 0)
-        m = np.max(np.where(up, score, -np.inf))
-        big = np.min(np.where(low, score, np.inf))
         self.intercept_ = float((m + big) / 2.0)
-        self.gap_ = float(m - big)
-        self.n_iter_ = it + 1
+        self.gap_ = float(gap)
         self.gamma_ = gamma
         sv = beta != 0.0
-        self.support_ = np.where(sv)[0]
         self.support_vectors_ = X[sv]
         self.dual_coef_ = beta[sv]
         self._beta_full = beta
@@ -207,6 +184,10 @@ class RbfSvr(ParamMixin):
 
 # regressor kind -> estimator class, for RFE and the fusion models
 _ESTIMATORS = {"ridge": RidgeRegression, "svr": RbfSvr}
+# regressor kind -> fitted attributes a model file holds, each under its
+# name without the trailing underscore
+_STATE = {"ridge": ("coef_", "intercept_"),
+          "svr": ("support_vectors_", "dual_coef_", "intercept_", "gamma_")}
 
 
 # ---------------------------------------------------------------------------
@@ -402,14 +383,10 @@ class FusionModel:
             "scaler": {"min": self.scaler.min_.tolist(),
                        "max": self.scaler.max_.tolist()},
         }
-        if self.regressor == "ridge":
-            state["coef"] = self.estimator.coef_.tolist()
-            state["intercept"] = self.estimator.intercept_
-        else:
-            state["support_vectors"] = self.estimator.support_vectors_.tolist()
-            state["dual_coef"] = self.estimator.dual_coef_.tolist()
-            state["intercept"] = self.estimator.intercept_
-            state["gamma"] = self.estimator.gamma_
+        for attr in _STATE[self.regressor]:
+            value = getattr(self.estimator, attr)
+            state[attr[:-1]] = (value.tolist() if isinstance(value, np.ndarray)
+                                else value)
         return state
 
     @classmethod
@@ -420,19 +397,16 @@ class FusionModel:
         model = cls(state["name"], state["features"], state["regressor"],
                     state.get("params"))
         model.metadata = dict(state.get("metadata", {}))
-        model.scaler = MinMaxScaler.from_state(state["scaler"]["min"],
-                                               state["scaler"]["max"])
+        bounds = state["scaler"]
+        model.scaler = MinMaxScaler()
+        model.scaler.min_ = np.asarray(bounds["min"], dtype=np.float64)
+        model.scaler.max_ = np.asarray(bounds["max"], dtype=np.float64)
         model.estimator = _ESTIMATORS[model.regressor](**model.params)
-        if model.regressor == "ridge":
-            model.estimator.coef_ = np.asarray(state["coef"], dtype=np.float64)
-            model.estimator.intercept_ = float(state["intercept"])
-        else:
-            model.estimator.support_vectors_ = np.asarray(
-                state["support_vectors"], dtype=np.float64)
-            model.estimator.dual_coef_ = np.asarray(
-                state["dual_coef"], dtype=np.float64)
-            model.estimator.intercept_ = float(state["intercept"])
-            model.estimator.gamma_ = float(state["gamma"])
+        for attr in _STATE[model.regressor]:
+            value = state[attr[:-1]]
+            setattr(model.estimator, attr,
+                    np.asarray(value, dtype=np.float64)
+                    if isinstance(value, list) else float(value))
         return model
 
     def save(self, path):

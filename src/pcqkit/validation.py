@@ -4,8 +4,6 @@ Array checks convert to float64 C-contiguous ndarrays and fail early with
 a clear message instead of letting shape errors surface deep inside numpy.
 """
 
-import inspect
-
 import numpy as np
 
 from .errors import EmptyCloud, InvalidCloud
@@ -70,19 +68,3 @@ def check_paired(X, y):
         raise InvalidCloud(
             f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     return X, y
-
-
-class ParamMixin:
-    """Minimal sklearn-style get_params for estimators.
-
-    Parameters are whatever the subclass __init__ accepts; they must be
-    stored under the same attribute name, unchanged, inside __init__.
-    """
-
-    def get_params(self, deep=True):
-        names = inspect.signature(type(self).__init__).parameters
-        return {name: getattr(self, name) for name in names if name != "self"}
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items())
-        return f"{type(self).__name__}({args})"

@@ -268,14 +268,17 @@ def test_extract_reports_bad_rows_and_writes_no_table(corpus, tmp_path):
 @pytest.mark.parametrize("argv, code, named", [
     (("extract", "--jobs", "-1"), 1, "--jobs"),
     (("extract", "--config", "jobs.ini"), 2, "pipeline_jobs"),
+    (("extract", "--config", "none.ini"), 2, "pipeline_jobs"),
     (("rfe", "--step", "0"), 1, "--step"),
     (("crossval", "--model", "fsm", "--folds", "0"), 1, "--folds"),
     (("crossval", "--model", "fsm", "--folds", "-2"), 1, "--folds"),
     (("crossval", "--model", "fsm", "--folds", "1"), 1, "--folds")],
-    ids=["jobs", "ini-jobs", "step", "folds-0", "folds-neg", "folds-1"])
+    ids=["jobs", "ini-jobs", "ini-jobs-none", "step", "folds-0", "folds-neg",
+         "folds-1"])
 def test_out_of_range_counts_are_refused(corpus, tmp_path, argv, code,
                                          named):
     (tmp_path / "jobs.ini").write_text("[pipeline]\njobs = -1\n")
+    (tmp_path / "none.ini").write_text("[pipeline]\njobs = none\n")
     argv = tuple(str(tmp_path / a) if a.endswith(".ini") else a
                  for a in argv)
     if argv[0] == "extract":

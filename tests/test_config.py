@@ -72,6 +72,29 @@ def test_nan_float_is_rejected(tmp_path):
         load_config(str(path))
 
 
+@pytest.mark.parametrize("section, key, field", [
+    ("pipeline", "jobs", "pipeline_jobs"),
+    ("psnr", "cap_db", "psnr_cap_db"),
+    ("graphsim", "smoothing", "graphsim_smoothing")])
+@pytest.mark.parametrize("value", ["none", ""])
+def test_none_is_refused_for_required_fields(tmp_path, section, key, field,
+                                             value):
+    path = tmp_path / "settings.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    with pytest.raises(ConfigMismatch, match=f"^{field}: expected "):
+        load_config(str(path))
+
+
+def test_none_is_accepted_for_optional_fields(tmp_path):
+    path = tmp_path / "settings.ini"
+    path.write_text("[cloud]\nbit_depth = none\n[pcqm]\nlab_table = None\n"
+                    "[pipeline]\ncache_dir =\n")
+    config = load_config(str(path))
+    assert config.cloud_bit_depth is None
+    assert config.pcqm_lab_table is None
+    assert config.pipeline_cache_dir is None
+
+
 def _refused_choice(tmp_path, section, key, value, field):
     path = tmp_path / "settings.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n")

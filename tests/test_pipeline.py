@@ -98,42 +98,45 @@ def test_identity_feature_row(tmp_path):
 
 def test_extract_serial_parallel_and_cache_agree(tmp_path):
     rows = load_manifest(_write_corpus(tmp_path))
-    cache = str(tmp_path / "cache")
-    table, stats = extract_features(rows, jobs=1, cache_dir=cache)
+    serial = Config(pipeline_jobs=1,
+                    pipeline_cache_dir=str(tmp_path / "cache"))
+    table, stats = extract_features(rows, serial)
     assert stats == {"n_rows": 4, "n_cached": 0, "n_computed": 4}
     assert table.values.shape == (4, 23)
     assert np.isfinite(table.values).all()
 
-    cached, stats2 = extract_features(rows, jobs=1, cache_dir=cache)
+    cached, stats2 = extract_features(rows, serial)
     assert stats2["n_cached"] == 4
     assert np.array_equal(cached.values, table.values)
 
-    parallel, _ = extract_features(rows, jobs=3)
+    parallel, _ = extract_features(rows, Config(pipeline_jobs=3))
     assert np.array_equal(parallel.values, table.values)
 
 
 def test_cache_invalidates_on_config_change(tmp_path):
     rows = load_manifest(_write_corpus(tmp_path, n_groups=1))
     cache = str(tmp_path / "cache")
-    _, stats = extract_features(rows, Config(), jobs=1, cache_dir=cache)
+    _, stats = extract_features(
+        rows, Config(pipeline_jobs=1, pipeline_cache_dir=cache))
     assert stats["n_computed"] == 2
-    other = Config(pointssim_k=10)
-    _, stats2 = extract_features(rows, other, jobs=1, cache_dir=cache)
+    other = Config(pointssim_k=10, pipeline_jobs=1, pipeline_cache_dir=cache)
+    _, stats2 = extract_features(rows, other)
     assert stats2["n_computed"] == 2  # different settings, no reuse
 
 
 def test_cache_invalidates_on_file_change(tmp_path):
     rows = load_manifest(_write_corpus(tmp_path, n_groups=1))
-    cache = str(tmp_path / "cache")
-    extract_features(rows, jobs=1, cache_dir=cache)
+    serial = Config(pipeline_jobs=1,
+                    pipeline_cache_dir=str(tmp_path / "cache"))
+    extract_features(rows, serial)
     save_ply(surface_cloud(400, seed=77), rows[0].dist_file)
-    _, stats = extract_features(rows, jobs=1, cache_dir=cache)
+    _, stats = extract_features(rows, serial)
     assert stats["n_computed"] == 1 and stats["n_cached"] == 1
 
 
 def test_features_csv_round_trip_is_bit_exact(tmp_path):
     rows = load_manifest(_write_corpus(tmp_path, n_groups=1))
-    table, _ = extract_features(rows, jobs=1)
+    table, _ = extract_features(rows, Config(pipeline_jobs=1))
     path = tmp_path / "features.csv"
     write_features_csv(table, path)
     back = read_features_csv(path)
@@ -207,7 +210,7 @@ def test_grouped_extract_matches_per_pair_features(tmp_path):
         compute_pair_features(load_ply(r.ref_file), load_ply(r.dist_file))
         for r in rows])
     for jobs in (1, 2):
-        table, stats = extract_features(rows, jobs=jobs)
+        table, stats = extract_features(rows, Config(pipeline_jobs=jobs))
         assert stats["n_computed"] == 6
         assert np.array_equal(table.values, expected), jobs
 
@@ -308,7 +311,8 @@ def test_bad_rows_are_reported_and_good_rows_kept(tmp_path, jobs):
     rows = load_manifest(path)
     cache = str(tmp_path / "cache")
     with pytest.raises(PcqkitError) as info:
-        extract_features(rows, jobs=jobs, cache_dir=cache)
+        extract_features(
+            rows, Config(pipeline_jobs=jobs, pipeline_cache_dir=cache))
     message = str(info.value)
     assert message.startswith("1 of 6 rows failed")
     assert "manifest line 5 (d1_1.ply)" in message
@@ -317,7 +321,7 @@ def test_bad_rows_are_reported_and_good_rows_kept(tmp_path, jobs):
     # a reference that fails fails every row of its group
     (tmp_path / "ref0.ply").write_text("not a ply\n")
     with pytest.raises(PcqkitError) as info:
-        extract_features(rows, jobs=jobs)
+        extract_features(rows, Config(pipeline_jobs=jobs))
     message = str(info.value)
     assert message.startswith("4 of 6 rows failed")
     for line in (2, 4, 5, 6):

