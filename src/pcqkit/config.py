@@ -3,7 +3,9 @@
 Every knob that changes metric values is a semantic field and feeds the
 config hash; operational fields (worker count, cache location, seed) do
 not. Feature tables and saved models carry the hash so mismatched
-settings are caught instead of silently mixed.
+settings are caught instead of silently mixed. A Config is immutable and
+refuses a value outside its field's legal range when it is made, so the
+metrics never check their settings.
 """
 
 import configparser
@@ -19,22 +21,35 @@ from .colorspace import YCBCR_MATRICES
 from .errors import ConfigMismatch
 from .metrics.pointssim import ESTIMATORS
 
-__all__ = ["Config", "load_config", "config_hash", "ENV_VAR"]
+__all__ = ["Config", "load_config", "ENV_VAR"]
 
 ENV_VAR = "PCQKIT_CONFIG"
 
 # fields that do not alter computed values: excluded from the hash
 _OPERATIONAL = {"pipeline_jobs", "pipeline_cache_dir", "pipeline_seed"}
 
-# fields that take one of a fixed set of values
-_CHOICES = {
-    "psnr_ycbcr_matrix": tuple(YCBCR_MATRICES),
-    "psnr_yuv_symmetric": ("mse", "psnr"),
-    "pointssim_estimator": tuple(ESTIMATORS),
+
+def _one_of(*allowed):
+    return (lambda v: v in allowed), f"one of {', '.join(allowed)}"
+
+
+# field -> (test, what is legal); NaN fails every range test
+_LEGAL = {
+    "psnr_ycbcr_matrix": _one_of(*YCBCR_MATRICES),
+    "psnr_yuv_symmetric": _one_of("mse", "psnr"),
+    "pointssim_estimator": _one_of(*ESTIMATORS),
+    "pipeline_jobs": ((lambda v: v >= 0), "0 or more"),
+    "graphsim_n_scales": ((lambda v: v >= 3), "3 or more"),
+    "graphsim_keypoint_fraction": ((lambda v: 0 < v <= 1),
+                                   "a value in (0, 1]"),
+    "pointssim_k": ((lambda v: v >= 1), "1 or more"),
+    "psnr_normal_radius": ((lambda v: v >= 0), "0 or more"),
+    "pcqm_radius_factor": ((lambda v: v > 0), "more than 0"),
+    "graphsim_radius_factor": ((lambda v: v > 0), "more than 0"),
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     # field names are <section>_<key> in the INI file
     cloud_bit_depth: Optional[int] = None      # None: infer per cloud
@@ -67,20 +82,19 @@ class Config:
     pipeline_cache_dir: Optional[str] = None
     pipeline_seed: int = 0
 
-    def semantic_items(self):
-        """(name, value) pairs that affect computed feature values."""
-        return [(f.name, getattr(self, f.name))
-                for f in dataclasses.fields(self)
-                if f.name not in _OPERATIONAL]
+    def __post_init__(self):
+        for name, (test, what) in _LEGAL.items():
+            value = getattr(self, name)
+            if not test(value):
+                raise ConfigMismatch(f"{name}: expected {what}, got {value!r}")
 
     @property
     def hash(self) -> str:
-        return config_hash(self)
-
-
-def config_hash(config: Config) -> str:
-    payload = "\n".join(f"{k}={v!r}" for k, v in config.semantic_items())
-    return hashlib.sha256(payload.encode()).hexdigest()[:12]
+        """12 hex digits of the sha256 of the semantic fields."""
+        payload = "\n".join(f"{f.name}={getattr(self, f.name)!r}"
+                            for f in dataclasses.fields(self)
+                            if f.name not in _OPERATIONAL)
+        return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
 def _convert(name: str, raw: str, annotation):
@@ -118,36 +132,26 @@ def load_config(path: Optional[str] = None, overrides: dict = None) -> Config:
 
     When path is None the PCQKIT_CONFIG environment variable is
     consulted. Unknown sections or keys in the file are an error, and so
-    is a value outside its field's choices; the overrides dict uses field
-    names directly.
+    is a value that Config refuses; the overrides dict uses field names
+    directly, and its None values are ignored.
     """
-    config = Config()
+    values = {}
     if path is None:
         path = os.environ.get(ENV_VAR) or None
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigMismatch(f"cannot read config file {path!r}")
-        known = {f.name for f in dataclasses.fields(Config)}
         for section in parser.sections():
             for key, raw in parser.items(section):
                 name = f"{section}_{key}"
-                if name not in known:
+                if name not in _FIELD_TYPES:
                     raise ConfigMismatch(
                         f"unknown config entry [{section}] {key}")
-                setattr(config, name, _convert(name, raw, _FIELD_TYPES[name]))
+                values[name] = _convert(name, raw, _FIELD_TYPES[name])
     for name, value in (overrides or {}).items():
-        if not hasattr(config, name):
+        if name not in _FIELD_TYPES:
             raise ConfigMismatch(f"unknown config field {name!r}")
         if value is not None:
-            setattr(config, name, value)
-    for name, allowed in _CHOICES.items():
-        if getattr(config, name) not in allowed:
-            raise ConfigMismatch(
-                f"{name}: expected one of {', '.join(allowed)}, "
-                f"got {getattr(config, name)!r}")
-    if config.pipeline_jobs < 0:
-        raise ConfigMismatch(
-            f"pipeline_jobs: expected 0 or more, got {config.pipeline_jobs}")
-    return config
+            values[name] = value
+    return Config(**values)

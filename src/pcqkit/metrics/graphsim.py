@@ -75,13 +75,10 @@ def extract_keypoints(cloud: PointCloud, knn, config) -> np.ndarray:
     """Indices of the top ceil(graphsim_keypoint_fraction * n) points by
     response (graph_filter_response with k_graph = graphsim_k), sorted by
     descending response, ties by ascending index."""
-    fraction = config.graphsim_keypoint_fraction
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must lie in (0, 1], got {fraction}")
     responses = graph_filter_response(cloud, knn, config.graphsim_k)
     n = len(responses)
     order = np.lexsort((np.arange(n), -responses))
-    return order[:int(math.ceil(fraction * n))]
+    return order[:int(math.ceil(config.graphsim_keypoint_fraction * n))]
 
 
 def graph_blocks(members, positions, scale: int, centroid):

@@ -75,17 +75,13 @@ def extract_dispersion(cloud: PointCloud, knn, attribute: str,
     """
     if attribute not in _ATTRIBUTES:
         raise ValueError(f"unknown attribute {attribute!r}")
-    estimator, k = config.pointssim_estimator, config.pointssim_k
-    try:
-        fn = ESTIMATORS[estimator]
-    except KeyError:
-        raise ValueError(f"unknown estimator {estimator!r}") from None
+    k = config.pointssim_k
     idx, dst = (np.ascontiguousarray(a[:, :k]) for a in knn)
     if attribute == "geometry":
         rows = dst
     else:
         rows = luminance(cloud.require_colors("luminance PointSSIM"))[idx]
-    return fn(rows)
+    return ESTIMATORS[config.pointssim_estimator](rows)
 
 
 def pointssim_pool(ref_values, dist_values, nearest,

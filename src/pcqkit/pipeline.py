@@ -184,13 +184,6 @@ def feature_vector(metrics: dict, config: Config = None) -> np.ndarray:
     return row
 
 
-def compute_pair_features(ref: PointCloud, dist: PointCloud,
-                          config: Config = None,
-                          reference: ReferenceContext = None) -> np.ndarray:
-    return feature_vector(compute_pair_metrics(ref, dist, config, reference),
-                          config)
-
-
 # ---------------------------------------------------------------------------
 # batch extraction with a content-addressed cache
 
@@ -284,8 +277,9 @@ def _run_pairs(ref_file, dist_files, config):
     out = []
     for dist_file in dist_files:
         try:
-            out.append(compute_pair_features(ref, load_ply(dist_file),
-                                             config, reference))
+            metrics = compute_pair_metrics(ref, load_ply(dist_file), config,
+                                           reference)
+            out.append(feature_vector(metrics, config))
         except PcqkitError as exc:
             out.append(exc)
     return out

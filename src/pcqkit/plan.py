@@ -22,8 +22,7 @@ import numpy as np
 from .cloud import PointCloud, bounding_box
 from .colorspace import Lab2000HLTable, rgb_to_ycbcr
 from .config import Config
-from .errors import (ConfigMismatch, MissingNormalsUnrecoverable,
-                     SettingsMismatch)
+from .errors import MissingNormalsUnrecoverable, SettingsMismatch
 from .metrics.graphsim import graphsim_reference
 from .metrics.pcqm import build_correspondence
 from .metrics.pointssim import extract_dispersion
@@ -61,9 +60,6 @@ class ReferenceContext:
     def build(cls, ref: PointCloud, config: Config = None):
         """The context of ref under config (default Config())."""
         config = config or Config()
-        if config.graphsim_n_scales < 3:
-            raise ConfigMismatch(
-                "graphsim_n_scales must be at least 3 to fill the feature set")
         if config.cloud_bit_depth is not None:
             ref = replace(ref, bit_depth=config.cloud_bit_depth)
         return cls(ref, config)

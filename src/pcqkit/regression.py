@@ -116,11 +116,13 @@ class RbfSvr:
 
     def fit(self, X, y):
         X, y = check_paired(X, y)
+        C, eps = float(self.C), float(self.epsilon)
+        if not C > 0:
+            raise ValueError(f"C must be > 0, got {C}")
         n = X.shape[0]
         var = X.var()
         gamma = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
         K = rbf_kernel(X, X, gamma)
-        C, eps = float(self.C), float(self.epsilon)
 
         # variables: z = (alpha_0..alpha_n-1, alphastar_0..alphastar_n-1)
         z = np.zeros(2 * n)
@@ -136,7 +138,7 @@ class RbfSvr:
             score = -d * grad
             up = (z < C) & (d > 0) | (z > 0) & (d < 0)
             low = (z > 0) & (d > 0) | (z < C) & (d < 0)
-            # masked, so an empty side (C = 0) reads as -inf / inf
+            # masked, so an index outside a side never wins
             up_score = np.where(up, score, -np.inf)
             low_score = np.where(low, score, np.inf)
             i, j = int(np.argmax(up_score)), int(np.argmin(low_score))

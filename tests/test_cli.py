@@ -265,6 +265,15 @@ def test_extract_reports_bad_rows_and_writes_no_table(corpus, tmp_path):
     assert len(os.listdir(cache)) == 4
 
 
+_INI = {"jobs.ini": "[pipeline]\njobs = -1\n",
+        "none.ini": "[pipeline]\njobs = none\n",
+        "k.ini": "[pointssim]\nk = 0\n",
+        "fraction.ini": "[graphsim]\nkeypoint_fraction = 0\n",
+        "pcqm-radius.ini": "[pcqm]\nradius_factor = -1\n",
+        "normal-radius.ini": "[psnr]\nnormal_radius = -5\n",
+        "graph-radius.ini": "[graphsim]\nradius_factor = 0\n"}
+
+
 @pytest.mark.parametrize("argv, code, named", [
     (("extract", "--jobs", "-1"), 1, "--jobs"),
     (("extract", "--config", "jobs.ini"), 2, "pipeline_jobs"),
@@ -272,23 +281,37 @@ def test_extract_reports_bad_rows_and_writes_no_table(corpus, tmp_path):
     (("rfe", "--step", "0"), 1, "--step"),
     (("crossval", "--model", "fsm", "--folds", "0"), 1, "--folds"),
     (("crossval", "--model", "fsm", "--folds", "-2"), 1, "--folds"),
-    (("crossval", "--model", "fsm", "--folds", "1"), 1, "--folds")],
+    (("crossval", "--model", "fsm", "--folds", "1"), 1, "--folds"),
+    (("metric", "--config", "k.ini"), 2, "pointssim_k"),
+    (("metric", "--config", "fraction.ini"), 2,
+     "graphsim_keypoint_fraction"),
+    (("metric", "--config", "pcqm-radius.ini"), 2, "pcqm_radius_factor"),
+    (("metric", "--config", "normal-radius.ini"), 2, "psnr_normal_radius"),
+    (("metric", "--config", "graph-radius.ini"), 2,
+     "graphsim_radius_factor"),
+    (("extract", "--config", "k.ini", "--jobs", "2", "--cache", "cache"), 2,
+     "pointssim_k")],
     ids=["jobs", "ini-jobs", "ini-jobs-none", "step", "folds-0", "folds-neg",
-         "folds-1"])
+         "folds-1", "ini-k", "ini-keypoint-fraction", "ini-pcqm-radius",
+         "ini-normal-radius", "ini-graph-radius", "ini-k-pool-cache"])
 def test_out_of_range_counts_are_refused(corpus, tmp_path, argv, code,
                                          named):
-    (tmp_path / "jobs.ini").write_text("[pipeline]\njobs = -1\n")
-    (tmp_path / "none.ini").write_text("[pipeline]\njobs = none\n")
-    argv = tuple(str(tmp_path / a) if a.endswith(".ini") else a
-                 for a in argv)
+    for name, text in _INI.items():
+        (tmp_path / name).write_text(text)
+    argv = tuple(str(tmp_path / a) if a.endswith(".ini") or a == "cache"
+                 else a for a in argv)
     if argv[0] == "extract":
         argv += ("--manifest", str(corpus / "manifest.csv"))
+    elif argv[0] == "metric":
+        argv += ("--ref", str(corpus / "ref0.ply"),
+                 "--dist", str(corpus / "d0_1.ply"))
     else:
         argv += ("--features", str(_random_features(tmp_path / "f.csv")))
     got, out, err = run_cli(*argv, "--out", str(tmp_path / "out"))
     assert got == code, err
     assert named in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from pcqkit.config import ENV_VAR, Config, config_hash, load_config
+from pcqkit.config import ENV_VAR, Config, load_config
 from pcqkit.errors import ConfigMismatch
 
 
@@ -126,17 +126,60 @@ def test_estimator_choice_is_checked(tmp_path):
 
 
 def test_hash_covers_semantic_fields_only():
-    base = config_hash(Config())
+    base = Config().hash
     assert len(base) == 12 and int(base, 16) >= 0
     # operational knobs do not move the hash
-    assert config_hash(Config(pipeline_jobs=7)) == base
-    assert config_hash(Config(pipeline_cache_dir="/tmp/x")) == base
-    assert config_hash(Config(pipeline_seed=5)) == base
+    assert Config(pipeline_jobs=7).hash == base
+    assert Config(pipeline_cache_dir="/tmp/x").hash == base
+    assert Config(pipeline_seed=5).hash == base
     # every semantic field does
     changed = dataclasses.replace(Config(), pointssim_k=13)
-    assert config_hash(changed) != base
-    assert config_hash(Config(psnr_cap_db=90.0)) != base
-    assert config_hash(Config(pcqm_k4=0.01)) != base
+    assert changed.hash != base
+    assert Config(psnr_cap_db=90.0).hash != base
+    assert Config(pcqm_k4=0.01).hash != base
+
+
+def test_default_hash_is_pinned():
+    # cache keys and the predict-time hash check depend on this value
+    assert Config().hash == "b97df0cab774"
+
+
+# field, a refused value at or next to the boundary, a legal boundary value
+_RANGES = [
+    ("pipeline_jobs", -1, 0),
+    ("graphsim_n_scales", 2, 3),
+    ("graphsim_keypoint_fraction", 0.0, 1.0),
+    ("graphsim_keypoint_fraction", 1.0000001, 1e-9),
+    ("pointssim_k", 0, 1),
+    ("psnr_normal_radius", -1e-9, 0.0),
+    ("pcqm_radius_factor", 0.0, 1e-9),
+    ("graphsim_radius_factor", 0.0, 1e-9)]
+
+
+@pytest.mark.parametrize("field, refused, legal", _RANGES)
+def test_ranges_are_checked_when_a_config_is_made(field, refused, legal):
+    for value in (refused, float("nan")):
+        with pytest.raises(ConfigMismatch, match=f"^{field}: expected "):
+            Config(**{field: value})
+        with pytest.raises(ConfigMismatch, match=f"^{field}: expected "):
+            dataclasses.replace(Config(), **{field: value})
+    assert getattr(Config(**{field: legal}), field) == legal
+
+
+@pytest.mark.parametrize("field", ["psnr_ycbcr_matrix", "psnr_yuv_symmetric",
+                                   "pointssim_estimator"])
+def test_choices_are_checked_when_a_config_is_made(field):
+    with pytest.raises(ConfigMismatch, match=f"^{field}: expected one of "):
+        Config(**{field: "bogus"})
+    with pytest.raises(ConfigMismatch, match=f"^{field}: expected one of "):
+        dataclasses.replace(Config(), **{field: "bogus"})
+
+
+def test_config_is_immutable():
+    config = Config()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.pointssim_k = 0
+    assert config.pointssim_k == 12
 
 
 def test_overrides_ignore_none():

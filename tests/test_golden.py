@@ -17,7 +17,7 @@ import pytest
 
 from pcqkit.cloud import PointCloud
 from pcqkit.pipeline import (FEATURE_COLUMNS, ReferenceContext,
-                             compute_pair_features)
+                             compute_pair_metrics, feature_vector)
 
 from conftest import jitter, random_cloud, surface_cloud
 
@@ -89,8 +89,8 @@ def test_features_match_golden_table(shared):
             if id(ref) not in contexts:
                 contexts[id(ref)] = ReferenceContext.build(ref)
             reference = contexts[id(ref)]
-        got = [repr(float(v))
-               for v in compute_pair_features(ref, dist, None, reference)]
+        metrics = compute_pair_metrics(ref, dist, None, reference)
+        got = [repr(float(v)) for v in feature_vector(metrics, None)]
         for name, want, have in zip(FEATURE_COLUMNS, golden[pid], got):
             if want != have:
                 mismatches.append(f"{pid} {name}: {want} != {have}")
@@ -103,7 +103,7 @@ def _freeze():
         writer = csv.writer(stream)
         writer.writerow(("pair",) + FEATURE_COLUMNS)
         for pid, ref, dist in golden_pairs():
-            row = compute_pair_features(ref, dist)
+            row = feature_vector(compute_pair_metrics(ref, dist))
             writer.writerow([pid] + [repr(float(v)) for v in row])
 
 

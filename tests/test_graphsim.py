@@ -6,7 +6,7 @@ import pytest
 from pcqkit.cloud import PointCloud
 from pcqkit.colorspace import rgb_to_gaussian
 from pcqkit.config import Config
-from pcqkit.errors import AllKeypointsEmpty
+from pcqkit.errors import AllKeypointsEmpty, ConfigMismatch
 from pcqkit.metrics import graphsim
 from pcqkit.metrics.graphsim import (GraphFeatures, extract_keypoints,
                                      graph_blocks, graph_pair_sims,
@@ -115,9 +115,9 @@ def test_all_empty_raises():
 
 
 def test_nan_radius_is_rejected():
-    cloud = surface_cloud(200, seed=10)
-    with pytest.raises(ValueError):
-        score(cloud, cloud, Config(graphsim_radius_factor=float("nan")))
+    # refused when the Config is made, before any metric runs
+    with pytest.raises(ConfigMismatch, match="^graphsim_radius_factor: "):
+        Config(graphsim_radius_factor=float("nan"))
 
 
 def test_scales_are_scored_independently_and_reference_is_reusable():

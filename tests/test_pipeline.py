@@ -16,7 +16,6 @@ from pcqkit.io_ply import load_ply, save_ply
 from pcqkit.metrics.psnr import compute_d1
 from pcqkit.pipeline import (FEATURE_COLUMNS, ManifestRow, PairPlan,
                              ReferenceContext, _pair_cache_key, _runs,
-                             compute_pair_features,
                              compute_pair_metrics, extract_features,
                              feature_vector, join_scores, load_manifest,
                              read_features_csv, read_scores_csv,
@@ -207,7 +206,8 @@ def _interleaved_corpus(root, points=400):
 def test_grouped_extract_matches_per_pair_features(tmp_path):
     rows = load_manifest(_interleaved_corpus(tmp_path))
     expected = np.array([
-        compute_pair_features(load_ply(r.ref_file), load_ply(r.dist_file))
+        feature_vector(compute_pair_metrics(load_ply(r.ref_file),
+                                            load_ply(r.dist_file)))
         for r in rows])
     for jobs in (1, 2):
         table, stats = extract_features(rows, Config(pipeline_jobs=jobs))

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pcqkit.config import Config
-from pcqkit.metrics.pointssim import (ESTIMATORS, extract_dispersion,
-                                      pointssim_pool, pointssim_score)
+from pcqkit.errors import ConfigMismatch
+from pcqkit.metrics.pointssim import (ESTIMATORS, pointssim_pool,
+                                      pointssim_score)
 from pcqkit.plan import PairPlan
-from pcqkit.spatial import build_index
 
 from conftest import jitter, surface_cloud
 
@@ -72,8 +72,6 @@ def test_pooling_exponent_changes_emphasis():
 
 
 def test_unknown_estimator():
-    cloud = surface_cloud(50, seed=9)
-    knn = build_index(cloud).knn_batch(cloud.positions, 12)
-    with pytest.raises(ValueError):
-        extract_dispersion(cloud, knn, "luminance",
-                           Config(pointssim_estimator="mystery"))
+    # refused when the Config is made, before any metric runs
+    with pytest.raises(ConfigMismatch, match="^pointssim_estimator: "):
+        Config(pointssim_estimator="mystery")

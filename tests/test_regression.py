@@ -167,6 +167,14 @@ def test_svr_no_support_vectors_predicts_intercept():
     assert np.allclose(model.predict([[0.0], [99.0]]), model.intercept_)
 
 
+@pytest.mark.parametrize("C", [0.0, -1.0, float("nan")])
+def test_svr_refuses_non_positive_C(C):
+    rng = np.random.default_rng(5)
+    X, y = _svr_problem(rng, n=30)
+    with pytest.raises(ValueError, match="^C must be > 0"):
+        RbfSvr(C=C, epsilon=0.05).fit(X, y)
+
+
 def test_svr_nonconvergence():
     rng = np.random.default_rng(6)
     X, y = _svr_problem(rng, n=40)
