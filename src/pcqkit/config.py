@@ -33,19 +33,29 @@ def _one_of(*allowed):
     return (lambda v: v in allowed), f"one of {', '.join(allowed)}"
 
 
+_AT_LEAST_0 = (lambda v: v >= 0), "0 or more"
+_ABOVE_0 = (lambda v: v > 0), "more than 0"
+
 # field -> (test, what is legal); NaN fails every range test
 _LEGAL = {
     "psnr_ycbcr_matrix": _one_of(*YCBCR_MATRICES),
     "psnr_yuv_symmetric": _one_of("mse", "psnr"),
     "pointssim_estimator": _one_of(*ESTIMATORS),
-    "pipeline_jobs": ((lambda v: v >= 0), "0 or more"),
+    "cloud_bit_depth": ((lambda v: v is None or 1 <= v <= 32),
+                        "none or 1 to 32"),
+    "pipeline_jobs": _AT_LEAST_0,
     "graphsim_n_scales": ((lambda v: v >= 3), "3 or more"),
     "graphsim_keypoint_fraction": ((lambda v: 0 < v <= 1),
                                    "a value in (0, 1]"),
     "pointssim_k": ((lambda v: v >= 1), "1 or more"),
-    "psnr_normal_radius": ((lambda v: v >= 0), "0 or more"),
-    "pcqm_radius_factor": ((lambda v: v > 0), "more than 0"),
-    "graphsim_radius_factor": ((lambda v: v > 0), "more than 0"),
+    "pointssim_pooling_exponent": _ABOVE_0,
+    "psnr_normal_radius": _AT_LEAST_0,
+    "psnr_cap_db": _AT_LEAST_0,
+    "pcqm_radius_factor": _ABOVE_0,
+    "graphsim_radius_factor": _ABOVE_0,
+    # 0 is legal, though a 0 in k1, k2, k3, k5 or k6 can give nan
+    **{f"pcqm_k{i}": _AT_LEAST_0 for i in range(1, 9)},
+    **{f"graphsim_t_{name}": _ABOVE_0 for name in ("mag", "mean", "cov")},
 }
 
 

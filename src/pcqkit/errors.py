@@ -57,10 +57,6 @@ class MissingNormalsUnrecoverable(PcqkitError):
     """Normals absent and the cloud is too small to estimate them."""
 
 
-class SettingsMismatch(PcqkitError):
-    """Two intermediate results were built with incompatible settings."""
-
-
 class AllKeypointsEmpty(PcqkitError):
     """No keypoint produced a comparable local graph."""
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..cloud import PointCloud, bounding_box
 from ..colorspace import rgb_to_gaussian
-from ..errors import AllKeypointsEmpty
+from ..errors import AllKeypointsEmpty, InvalidCloud
 
 SIM_KINDS = ("mg", "ug", "cg")
 
@@ -226,7 +226,10 @@ def graphsim_reference(ref: PointCloud, index, knn,
     mean_nn = float(knn[1][:, 1].mean()) if len(ref) > 1 else 0.0
     radius = config.graphsim_radius_factor * mean_nn
     if not radius > 0.0:
-        raise ValueError(f"graph radius must be positive, got {radius}")
+        raise InvalidCloud(
+            f"MS-GraphSIM graph radius is {radius}: the reference's mean "
+            f"nearest-neighbour distance is {mean_nn} (every point "
+            "coincides with another, or it has one point)")
 
     signals = rgb_to_gaussian(ref.require_colors("MS-GraphSIM"))
     keypoints = extract_keypoints(ref, knn, config)

@@ -19,7 +19,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -155,17 +155,17 @@ METRIC_FAMILIES = {
 }
 
 
-def compute_pair_metrics(ref: PointCloud, dist: PointCloud,
-                         config: Config = None,
-                         reference: ReferenceContext = None) -> dict:
+def compute_pair_metrics(ref: Union[PointCloud, ReferenceContext],
+                         dist: PointCloud, config: Config = None) -> dict:
     """Every metric for one pair, as a flat name -> float dict.
 
+    ref is the reference cloud or its ReferenceContext, as for
+    PairPlan.build: pass a context to share the reference-side work
+    across the distortions of one reference, and then no config.
     PSNR entries are raw dB and may be +inf; feature_vector() applies
-    the configured cap. reference: ReferenceContext.build(ref, config),
-    to share the reference-side work across the distortions of one
-    reference; it is built here when not given.
+    the configured cap.
     """
-    plan = PairPlan.build(ref, dist, config, reference)
+    plan = PairPlan.build(ref, dist, config)
     out = {}
     for family in METRIC_FAMILIES.values():
         out.update(family(plan))
@@ -243,14 +243,25 @@ def _extract_run(task):
 
     The reference is loaded and its context built once. Returns, per
     distortion, its feature vector or the PcqkitError it raised; a
-    reference that fails fails every row. Once the run's arrays are
-    freed, the heap is trimmed (_trim_heap), so a worker's next run
-    starts from the same footprint as its first.
+    reference that cannot be loaded fails every row. Once the run's
+    arrays are freed, the heap is trimmed (_trim_heap), so a worker's
+    next run starts from the same footprint as its first.
     """
+    ref_file, dist_files, config = task
     try:
-        return _run_pairs(*task)
-    finally:
-        _trim_heap()
+        reference = ReferenceContext.build(load_ply(ref_file), config)
+    except PcqkitError as exc:
+        return [exc] * len(dist_files)
+    out = []
+    for dist_file in dist_files:
+        try:
+            metrics = compute_pair_metrics(reference, load_ply(dist_file))
+            out.append(feature_vector(metrics, config))
+        except PcqkitError as exc:
+            out.append(exc)
+    del reference                  # its arrays are freed before the trim
+    _trim_heap()
+    return out
 
 
 def _trim_heap():
@@ -266,23 +277,6 @@ def _trim_heap():
         ctypes.CDLL(None).malloc_trim(0)
     except (AttributeError, OSError, TypeError):   # not glibc
         pass
-
-
-def _run_pairs(ref_file, dist_files, config):
-    try:
-        ref = load_ply(ref_file)
-        reference = ReferenceContext.build(ref, config)
-    except PcqkitError as exc:
-        return [exc] * len(dist_files)
-    out = []
-    for dist_file in dist_files:
-        try:
-            metrics = compute_pair_metrics(ref, load_ply(dist_file), config,
-                                           reference)
-            out.append(feature_vector(metrics, config))
-        except PcqkitError as exc:
-            out.append(exc)
-    return out
 
 
 def _runs(rows, pending, jobs):

@@ -7,22 +7,27 @@ pair, and only when a metric reads it. The metric entry points
 (compute_d1, compute_d2, compute_yuv, pointssim_score,
 compute_pcqm_features, msgraphsim_score) each take a PairPlan and read
 their settings from plan.config, so a standalone call and the pipeline
-run the same code:
+run the same code. A plan is built from the reference cloud, or from a
+context that already holds it and its config:
 
     plan = PairPlan.build(ref, dist)
     compute_d1(plan).psnr_db
+
+    context = ReferenceContext.build(ref)
+    for dist in distortions:
+        compute_d1(PairPlan.build(context, dist)).psnr_db
 """
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
 from .cloud import PointCloud, bounding_box
 from .colorspace import Lab2000HLTable, rgb_to_ycbcr
 from .config import Config
-from .errors import MissingNormalsUnrecoverable, SettingsMismatch
+from .errors import MissingNormalsUnrecoverable
 from .metrics.graphsim import graphsim_reference
 from .metrics.pcqm import build_correspondence
 from .metrics.pointssim import extract_dispersion
@@ -63,25 +68,6 @@ class ReferenceContext:
         if config.cloud_bit_depth is not None:
             ref = replace(ref, bit_depth=config.cloud_bit_depth)
         return cls(ref, config)
-
-    def check(self, ref: PointCloud, config: Config):
-        """Raise SettingsMismatch unless built for this cloud and config."""
-        if config.hash != self.config.hash:
-            raise SettingsMismatch(
-                "reference context was built under another configuration")
-        bit_depth = (config.cloud_bit_depth
-                     if config.cloud_bit_depth is not None else ref.bit_depth)
-        mine = self.cloud
-        same = mine is ref or (
-            bit_depth == mine.bit_depth
-            and all(a is b or (a is not None and b is not None
-                               and np.array_equal(a, b))
-                    for a, b in ((ref.positions, mine.positions),
-                                 (ref.colors, mine.colors),
-                                 (ref.normals, mine.normals))))
-        if not same:
-            raise SettingsMismatch(
-                "reference context was built for another cloud")
 
     @cached_property
     def index(self):
@@ -150,22 +136,25 @@ class PairPlan:
     dist: PointCloud         # the distorted cloud, at the configured depth
 
     @classmethod
-    def build(cls, ref: PointCloud, dist: PointCloud, config: Config = None,
-              reference: ReferenceContext = None):
-        """The plan of (ref, dist) under config (default Config()).
+    def build(cls, ref: Union[PointCloud, ReferenceContext],
+              dist: PointCloud, config: Config = None):
+        """The plan of (ref, dist).
 
-        reference: ReferenceContext.build(ref, config), to share the
-        reference-side work across the distortions of one reference; it
-        is built here when not given.
+        ref is the reference cloud, whose context is built here under
+        config (default Config()), or a ReferenceContext, which shares
+        the reference-side work across the distortions of one reference
+        and whose own config is then the only one: passing config as
+        well raises TypeError.
         """
-        config = config or Config()
-        if reference is None:
-            reference = ReferenceContext.build(ref, config)
-        else:
-            reference.check(ref, config)
+        if not isinstance(ref, ReferenceContext):
+            ref = ReferenceContext.build(ref, config)
+        elif config is not None:
+            raise TypeError("a ReferenceContext carries its own config; "
+                            "pass no config with it")
+        config = ref.config
         if config.cloud_bit_depth is not None:
             dist = replace(dist, bit_depth=config.cloud_bit_depth)
-        return cls(reference, dist)
+        return cls(ref, dist)
 
     @property
     def config(self) -> Config:

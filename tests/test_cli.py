@@ -265,6 +265,37 @@ def test_extract_reports_bad_rows_and_writes_no_table(corpus, tmp_path):
     assert len(os.listdir(cache)) == 4
 
 
+def test_all_duplicated_reference_is_a_data_error(corpus, tmp_path):
+    # every point stored twice: the mean nearest-neighbour distance, and
+    # with it the MS-GraphSIM graph radius, is 0
+    ref = surface_cloud(300, seed=21)
+    dup = PointCloud(np.repeat(ref.positions, 2, axis=0),
+                     colors=np.repeat(ref.colors, 2, axis=0),
+                     bit_depth=ref.bit_depth)
+    save_ply(dup, tmp_path / "dup.ply")
+    save_ply(jitter(dup, 1.0, seed=22, color_sigma=3.0),
+             tmp_path / "dup_d.ply")
+    code, out, err = run_cli("metric", "--ref", str(tmp_path / "dup.ply"),
+                             "--dist", str(tmp_path / "dup_d.ply"))
+    assert code == 2, err
+    assert "graph radius" in err and "Traceback" not in err
+    for name in ("ref0.ply", "d0_0.ply"):
+        (tmp_path / name).write_bytes((corpus / name).read_bytes())
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("group_id,ref_path,dist_path,mos\n"
+                        "g0,ref0.ply,d0_0.ply,4.0\n"
+                        "g1,dup.ply,dup_d.ply,3.0\n")
+    cache = tmp_path / "cache"
+    code, _, err = run_cli("extract", "--manifest", str(manifest),
+                           "--jobs", "1", "--cache", str(cache),
+                           "--out", str(tmp_path / "features.csv"))
+    assert code == 2, err
+    assert "1 of 2 rows failed" in err and "Traceback" not in err
+    assert "manifest line 3 (dup_d.ply): InvalidCloud" in err
+    assert len(os.listdir(cache)) == 1
+    assert not (tmp_path / "features.csv").exists()
+
+
 _INI = {"jobs.ini": "[pipeline]\njobs = -1\n",
         "none.ini": "[pipeline]\njobs = none\n",
         "k.ini": "[pointssim]\nk = 0\n",

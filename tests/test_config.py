@@ -153,7 +153,15 @@ _RANGES = [
     ("pointssim_k", 0, 1),
     ("psnr_normal_radius", -1e-9, 0.0),
     ("pcqm_radius_factor", 0.0, 1e-9),
-    ("graphsim_radius_factor", 0.0, 1e-9)]
+    ("graphsim_radius_factor", 0.0, 1e-9),
+    ("graphsim_t_mag", 0.0, 1e-9),
+    ("graphsim_t_mean", 0.0, 1e-9),
+    ("graphsim_t_cov", 0.0, 1e-9),
+    ("pointssim_pooling_exponent", 0.0, 1e-9),
+    ("psnr_cap_db", -1e-9, 0.0),
+    ("cloud_bit_depth", 0, 1),
+    ("cloud_bit_depth", 33, 32)] + [
+    (f"pcqm_k{i}", -1e-9, 0.0) for i in range(1, 9)]
 
 
 @pytest.mark.parametrize("field, refused, legal", _RANGES)

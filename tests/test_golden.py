@@ -84,12 +84,11 @@ def test_features_match_golden_table(shared):
     contexts = {}
     mismatches = []
     for pid, ref, dist in pairs:
-        reference = None
         if shared:
             if id(ref) not in contexts:
                 contexts[id(ref)] = ReferenceContext.build(ref)
-            reference = contexts[id(ref)]
-        metrics = compute_pair_metrics(ref, dist, None, reference)
+            ref = contexts[id(ref)]
+        metrics = compute_pair_metrics(ref, dist)
         got = [repr(float(v)) for v in feature_vector(metrics, None)]
         for name, want, have in zip(FEATURE_COLUMNS, golden[pid], got):
             if want != have:

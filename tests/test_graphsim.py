@@ -17,8 +17,8 @@ from pcqkit.spatial import Neighbors, build_index
 from conftest import jitter, surface_cloud
 
 
-def score(ref, dist, config=None, reference=None):
-    return msgraphsim_score(PairPlan.build(ref, dist, config, reference))
+def score(ref, dist, config=None):
+    return msgraphsim_score(PairPlan.build(ref, dist, config))
 
 
 def keypoints(cloud, fraction):
@@ -128,7 +128,7 @@ def test_scales_are_scored_independently_and_reference_is_reusable():
     config = Config(graphsim_n_scales=4)
     reference = ReferenceContext.build(ref, config)
     for _ in range(2):
-        four = score(ref, dist, config, reference)
+        four = score(reference, dist)
         assert four.scales == (0, 1, 2, 3)
         assert np.array_equal(four.sims[:3], three.sims)
         assert np.array_equal(four.per_scale[:3], three.per_scale)

@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 
 from pcqkit import spatial
-from pcqkit.cloud import PointCloud
 from pcqkit.config import Config
 from pcqkit.errors import (BadMosValue, ConfigMismatch, JoinMismatch,
-                           MissingColumn, PcqkitError, SchemaMismatch,
-                           SettingsMismatch)
+                           MissingColumn, PcqkitError, SchemaMismatch)
 from pcqkit.io_ply import load_ply, save_ply
 from pcqkit.metrics.psnr import compute_d1
 from pcqkit.pipeline import (FEATURE_COLUMNS, ManifestRow, PairPlan,
@@ -221,30 +219,29 @@ def test_reference_context_reuse_matches_fresh_context():
     reference = ReferenceContext.build(ref, config)
     for lvl, sigma in enumerate((0.5, 2.0, 4.0)):
         dist = jitter(ref, sigma, seed=70 + lvl, color_sigma=2.0 * sigma)
-        shared = compute_pair_metrics(ref, dist, config, reference)
+        shared = compute_pair_metrics(reference, dist)
         fresh = compute_pair_metrics(ref, dist, config)
         assert shared.keys() == fresh.keys()
         for name in fresh:
             assert repr(shared[name]) == repr(fresh[name]), name
 
 
-def test_reference_context_rejects_other_cloud_or_config():
+def test_reference_context_carries_its_own_config():
     ref = surface_cloud(300, seed=6)
-    reference = ReferenceContext.build(ref, Config())
-    dist = jitter(ref, 1.0, seed=7)
-    with pytest.raises(SettingsMismatch):
-        compute_pair_metrics(surface_cloud(300, seed=8), dist, Config(),
-                             reference)
-    moved = PointCloud(ref.positions + 1.0, colors=ref.colors,
-                       bit_depth=ref.bit_depth)
-    with pytest.raises(SettingsMismatch):
-        compute_pair_metrics(moved, dist, Config(), reference)
-    with pytest.raises(SettingsMismatch):
-        compute_pair_metrics(ref, dist, Config(pointssim_k=8), reference)
-    # an equal copy of the reference is accepted
-    copy = PointCloud(ref.positions.copy(), colors=ref.colors.copy(),
-                      bit_depth=ref.bit_depth)
-    compute_pair_metrics(copy, dist, Config(), reference)
+    config = Config(pointssim_k=8, graphsim_n_scales=4, cloud_bit_depth=12)
+    reference = ReferenceContext.build(ref, config)
+    dist = jitter(ref, 1.0, seed=7, color_sigma=3.0)
+    for other in (Config(), config):
+        with pytest.raises(TypeError):
+            compute_pair_metrics(reference, dist, other)
+        with pytest.raises(TypeError):
+            PairPlan.build(reference, dist, other)
+    shared = compute_pair_metrics(reference, dist)
+    fresh = compute_pair_metrics(ref, dist, config)
+    assert shared.keys() == fresh.keys()
+    assert "msgsim_mg_s3" in fresh
+    for name in fresh:
+        assert repr(shared[name]) == repr(fresh[name]), name
 
 
 def test_each_query_runs_once_per_pair(monkeypatch):
@@ -278,8 +275,7 @@ def test_each_query_runs_once_per_pair(monkeypatch):
     assert count(lambda: [getattr(reference, f) for f in fields]) == (0, 0, 0)
     # the dist side: its kd-tree, two nearest queries, one self k-NN and
     # three radius queries (normals, PCQM h, GraphSIM keypoints)
-    assert count(lambda: compute_pair_metrics(ref, dist, None,
-                                              reference)) == (1, 3, 3)
+    assert count(lambda: compute_pair_metrics(reference, dist)) == (1, 3, 3)
     assert count(lambda: compute_pair_metrics(ref, dist)) == (2, 4, 6)
     assert count(lambda: compute_d1(PairPlan.build(ref, dist))) == (2, 2, 0)
 
