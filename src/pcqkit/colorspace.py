@@ -9,7 +9,6 @@ Three families:
 All transforms accept (..., 3) arrays in RGB [0, 255] and are vectorized.
 """
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,8 +102,6 @@ class Lab2000HLTable:
     def load(cls, path) -> "Lab2000HLTable":
         if path is None:
             raise TableMissing("no LAB2000HL table path configured")
-        if not os.path.exists(path):
-            raise TableMissing(f"LAB2000HL table not found: {path}")
         try:
             with open(path) as stream:
                 tokens = stream.read().split()
@@ -113,8 +110,8 @@ class Lab2000HLTable:
             values = np.array(tokens[6:6 + 2 * n_a * n_b], dtype=np.float64)
             if values.size != 2 * n_a * n_b or n_a < 2 or n_b < 2:
                 raise ValueError("truncated table body")
-        except (ValueError, IndexError) as exc:
-            raise TableMissing(f"cannot parse LAB2000HL table: {exc}") from exc
+        except (OSError, ValueError, IndexError) as exc:
+            raise TableMissing(f"cannot read LAB2000HL table: {exc}") from exc
         grid = values.reshape(n_a, n_b, 2)
         return cls(np.linspace(a_min, a_max, n_a),
                    np.linspace(b_min, b_max, n_b),

@@ -41,8 +41,10 @@ _LEGAL = {
     "psnr_ycbcr_matrix": _one_of(*YCBCR_MATRICES),
     "psnr_yuv_symmetric": _one_of("mse", "psnr"),
     "pointssim_estimator": _one_of(*ESTIMATORS),
-    "cloud_bit_depth": ((lambda v: v is None or 1 <= v <= 32),
-                        "none or 1 to 32"),
+    # not a bool, nor a float that PointCloud would truncate
+    "cloud_bit_depth": ((lambda v: v is None or (type(v) is int
+                                                 and 1 <= v <= 32)),
+                        "none or an integer from 1 to 32"),
     "pipeline_jobs": _AT_LEAST_0,
     "graphsim_n_scales": ((lambda v: v >= 3), "3 or more"),
     "graphsim_keypoint_fraction": ((lambda v: 0 < v <= 1),

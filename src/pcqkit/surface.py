@@ -9,6 +9,11 @@ degenerate and get the +z normal. Everything is batched: neighborhoods
 arrive in the flat layout of spatial.Neighbors and are reduced
 segment-wise, a bounded number of neighbor rows per chunk, so clouds of
 1e5+ points stay fast without leaving numpy.
+
+The covariance and normal equations come from feature-major rows of only
+the distinct products, one reduceat along the rows: bit for bit the full
+outer products, as products commute exactly, x*1 is x, and numpy sums a
+segment in the same order along either axis.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,23 @@ import numpy as np
 from .cloud import PointCloud, bounding_box
 
 _MIN_QUADRIC_POINTS = 6
-_ROWS_PER_CHUNK = 1_500_000
+# a chunk's temporaries take about 220 B per neighbor row and 900 B per
+# center: counting a center as _CENTER_ROWS rows, one stays near 60 MB
+_ROWS_PER_CHUNK = 2 ** 18
+_CENTER_ROWS = 4
+# rows of the sums of d_i * d_j, i <= j, that make the 3 x 3 covariance
+_COV = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
+# Quadric term rows: 0-2 the local x, y, z, then products of two earlier
+# rows: xx, xy, yy; xx*xx, xx*xy, xx*yy, xx*x, xx*y, xy*xy, xy*yy, xy*x,
+# xy*y, yy*yy, yy*x, yy*y; xx*z, xy*z, yy*z, x*z, y*z.
+_PRODUCTS = ((0, 0), (0, 1), (1, 1), (3, 3), (3, 4), (3, 5), (3, 0), (3, 1),
+             (4, 4), (4, 5), (4, 0), (4, 1), (5, 5), (5, 0), (5, 1),
+             (3, 2), (4, 2), (5, 2), (0, 2), (1, 2))
+# rows of the term sums, and of the count as row 23, that make A^T A and
+# A^T z for the design terms (xx, xy, yy, x, y, 1): x*x is row xx itself
+_ATA = [[6, 7, 8, 9, 10, 3], [7, 11, 12, 13, 14, 4], [8, 12, 15, 16, 17, 5],
+        [9, 13, 16, 3, 4, 0], [10, 14, 17, 4, 5, 1], [3, 4, 5, 0, 1, 23]]
+_ATB = [18, 19, 20, 21, 22, 2]
 
 
 @dataclass(frozen=True)
@@ -46,12 +67,12 @@ def fit_local_surfaces(points, neighbors, centers) -> SurfaceFit:
     plane_fallback = np.zeros(m, dtype=bool)
     degenerate = neighbors.counts == 0
 
-    # chunks of whole rows holding at most _ROWS_PER_CHUNK neighbors; a
-    # bigger row gets a chunk of its own
-    offsets = neighbors.offsets
+    # chunks of whole rows costing at most _ROWS_PER_CHUNK neighbor rows
+    # (see there); a bigger row gets a chunk of its own
+    cost = neighbors.offsets + _CENTER_ROWS * np.arange(m + 1)
     start = 0
     while start < m:
-        stop = int(np.searchsorted(offsets, offsets[start] + _ROWS_PER_CHUNK,
+        stop = int(np.searchsorted(cost, cost[start] + _ROWS_PER_CHUNK,
                                    side="right")) - 1
         stop = max(stop, start + 1)
         _fit_chunk(points, neighbors, centers, start, stop,
@@ -72,29 +93,39 @@ def _fit_chunk(points, neighbors, centers, start, stop,
     flat = neighbors.indices[offsets[start]:offsets[stop]]
     ctr_row = np.repeat(np.arange(len(sel)), seg_counts)
 
-    nbr = points[flat]
-    mean = np.add.reduceat(nbr, seg_starts, axis=0) / seg_counts[:, None]
-    d = nbr - mean[ctr_row]
+    d = np.take(points, flat, axis=0)
+    mean = np.add.reduceat(d, seg_starts, axis=0) / seg_counts[:, None]
+    d -= mean[ctr_row]
 
-    # neighborhood covariance and PCA frame
-    cov = np.add.reduceat(d[:, :, None] * d[:, None, :], seg_starts, axis=0)
-    cov /= seg_counts[:, None, None]
-    eigval, eigvec = np.linalg.eigh(cov)
+    # neighborhood covariance and PCA frame; each stage frees its per-row
+    # arrays before the next allocates, which the chunk budget counts on
+    prod = np.empty((6, len(flat)))
+    for row, (i, j) in enumerate(zip(*np.triu_indices(3))):
+        np.multiply(d[:, i], d[:, j], out=prod[row])
+    cov = np.add.reduceat(prod, seg_starts, axis=1) / seg_counts
+    del prod
+    eigval, eigvec = np.linalg.eigh(cov.T[:, _COV])
     scale = eigval[:, 2]
     bad = (scale <= 0.0) | (eigval[:, 1] <= 1e-12 * scale)
     degenerate[sel[bad]] = True
 
     # local frame: x, y span the plane, z along the smallest eigenvector;
-    # "kij,ki->kj" contracts over rows, i.e. multiplies by frame transpose
+    # "kij,ki->kj" contracts over rows, i.e. multiplies by frame transpose.
+    # d stays row-major: on a transposed view einsum sums in another order.
     frame = eigvec[:, :, [2, 1, 0]]
     local = np.einsum("kij,ki->kj", frame[ctr_row], d)
     c_local = np.einsum("kij,ki->kj", frame, centers[sel] - mean)
+    del d, ctr_row
 
-    x, y, z = local[:, 0], local[:, 1], local[:, 2]
-    design = np.stack([x * x, x * y, y * y, x, y, np.ones_like(x)], axis=1)
-    ata = np.add.reduceat(design[:, :, None] * design[:, None, :],
-                          seg_starts, axis=0)
-    atb = np.add.reduceat(design * z[:, None], seg_starts, axis=0)
+    terms = np.empty((3 + len(_PRODUCTS), len(flat)))
+    terms[:3] = local.T
+    del local
+    for row, (p, q) in enumerate(_PRODUCTS, start=3):
+        np.multiply(terms[p], terms[q], out=terms[row])
+    sums = np.vstack([np.add.reduceat(terms, seg_starts, axis=1), seg_counts])
+    del terms
+    ata = np.ascontiguousarray(sums.T[:, _ATA])
+    atb = sums[_ATB].T
 
     enough = (seg_counts >= _MIN_QUADRIC_POINTS) & ~bad
     # tiny relative ridge keeps near-singular systems solvable

@@ -102,6 +102,17 @@ def test_metric_refuses_unknown_choice(corpus, tmp_path, entry):
     assert "expected one of" in err and "Traceback" not in err
 
 
+def test_metric_refuses_a_lab_table_it_cannot_read(corpus, tmp_path):
+    config = tmp_path / "table.ini"
+    config.write_text(f"[pcqm]\nlab_table = {tmp_path}\n")
+    ref = str(corpus / "ref0.ply")
+    code, out, err = run_cli("metric", "--ref", ref, "--dist", ref,
+                             "--config", str(config))
+    assert code == 2, err
+    assert out == ""
+    assert "LAB2000HL table" in err and "Traceback" not in err
+
+
 def test_full_pipeline_round_trip(corpus, tmp_path):
     features = tmp_path / "features.csv"
     model = tmp_path / "model.json"

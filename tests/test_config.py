@@ -160,7 +160,9 @@ _RANGES = [
     ("pointssim_pooling_exponent", 0.0, 1e-9),
     ("psnr_cap_db", -1e-9, 0.0),
     ("cloud_bit_depth", 0, 1),
-    ("cloud_bit_depth", 33, 32)] + [
+    ("cloud_bit_depth", 33, 32),
+    ("cloud_bit_depth", 8.5, 8),
+    ("cloud_bit_depth", True, 1)] + [
     (f"pcqm_k{i}", -1e-9, 0.0) for i in range(1, 9)]
 
 
