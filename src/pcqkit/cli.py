@@ -24,10 +24,10 @@ from .config import load_config
 from .errors import ConfigMismatch, PcqkitError
 from .evaluation import evaluate
 from .io_ply import load_ply
-from .pipeline import (METRIC_FAMILIES, PairPlan, compute_pair_metrics,
-                       extract_features, join_scores, load_manifest,
-                       read_features_csv, read_scores_csv, write_features_csv,
-                       write_scores_csv)
+from .pipeline import (METRIC_FAMILIES, FeatureTable, PairPlan,
+                       compute_pair_metrics, extract_features, join_scores,
+                       load_manifest, read_features_csv, read_scores_csv,
+                       write_features_csv, write_scores_csv)
 from .regression import (MODEL_ALIASES, MODEL_REGISTRY, FusionModel,
                          group_kfold, make_model, rfe_rank)
 
@@ -222,11 +222,8 @@ def _cmd_evaluate(args):
                 f"{path!r} covers {len(rows) - missing} of {len(rows)} "
                 "manifest rows")
         named.append((meta.get("model") or path, aligned))
-    mos = np.array([r.mos for r in rows])
-    stds = [r.mos_std for r in rows]
-    mos_std = (np.array(stds, dtype=np.float64)
-               if all(s is not None for s in stds) else None)
-    report = evaluate(named, mos, mos_std)
+    manifest = FeatureTable(rows, (), np.empty((len(rows), 0)), "")
+    report = evaluate(named, manifest.mos(), manifest.mos_std())
     if args.out:
         with open(args.out, "w") as stream:
             stream.write(report.to_json())
@@ -331,10 +328,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except PcqkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (PcqkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

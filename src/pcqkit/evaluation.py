@@ -26,7 +26,6 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import DegenerateInput
 from .validation import check_paired
@@ -163,6 +162,7 @@ def _step_start(x, y):
 def _polish(x, y, b3, b4, lo, span):
     """Least squares over (log(b3 * span), (b4 - lo) / span), with b1 and
     b2 projected out at every step."""
+    from scipy.optimize import least_squares    # only a fit pays its import
     low, high = np.log(_LINEAR_SLOPE), _MAX_LOG_SLOPE
 
     def unpack(p):

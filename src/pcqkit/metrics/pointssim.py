@@ -8,8 +8,8 @@ the dispersion of its nearest reference point:
     S(p) = |F_ref(q) - F_dist(p)| / (max(|F_ref(q)|, |F_dist(p)|) + eps)
 
 and pooled as the mean of S^pooling_exponent. 0 means identical. The
-entry point, pointssim_score, reads both k-NN self queries, the nearest
-matches and the settings from a PairPlan.
+entry point, pointssim_score, reads both clouds' dispersion fields, the
+nearest matches and the settings from a PairPlan.
 """
 
 import numpy as np
@@ -98,8 +98,7 @@ def pointssim_pool(ref_values, dist_values, nearest,
 def pointssim_score(plan, attribute: str) -> float:
     """Pooled dissimilarity of a PairPlan's dist against its ref for one
     attribute ("luminance" or "geometry")."""
-    dist_values = extract_dispersion(plan.dist, plan.dist_knn, attribute,
-                                     plan.config)
-    return pointssim_pool(plan.reference.fields[attribute], dist_values,
+    return pointssim_pool(plan.reference.fields[attribute],
+                          plan.distorted.fields[attribute],
                           plan.nearest_forward[0],
                           plan.config.pointssim_pooling_exponent)

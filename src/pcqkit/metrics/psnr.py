@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..colorspace import rgb_to_ycbcr
-
 __all__ = ["PsnrResult", "YuvResult", "compute_d1", "compute_d2",
            "compute_yuv"]
 
@@ -69,7 +67,7 @@ def compute_d2(plan) -> PsnrResult:
     Normals are estimated (quadric fit, radius psnr_normal_radius) on any
     side that lacks them.
     """
-    ref, dist = plan.reference.with_normals, plan.dist_with_normals
+    ref, dist = plan.reference.with_normals, plan.distorted.with_normals
     peak = float(ref.geometry_peak())
     mse_f = _projected_mse(dist, ref, plan.nearest_forward[0])
     mse_b = _projected_mse(ref, dist, plan.nearest_backward[0])
@@ -87,9 +85,7 @@ def compute_yuv(plan) -> YuvResult:
     infinities with psnr_cap_db.
     """
     config = plan.config
-    ycc_ref = plan.reference.ycc
-    ycc_dist = rgb_to_ycbcr(plan.dist.require_colors("YUV PSNR"),
-                            config.psnr_ycbcr_matrix)
+    ycc_ref, ycc_dist = plan.reference.ycc, plan.distorted.ycc
     diff_f = ycc_dist - ycc_ref[plan.nearest_forward[0]]
     diff_b = ycc_ref - ycc_dist[plan.nearest_backward[0]]
     mse_f = np.mean(diff_f * diff_f, axis=0)

@@ -54,6 +54,7 @@ FEATURE_COLUMNS = (
 )
 
 _MANIFEST_REQUIRED = ("group_id", "ref_path", "dist_path", "mos")
+_ROW_FIELDS = _MANIFEST_REQUIRED + ("mos_std", "codec", "rate")
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class ManifestRow:
     rate: str = ""
     ref_file: str = ""       # resolved relative to the manifest location
     dist_file: str = ""
-    line: int = 0            # line in the manifest file, 0 if unknown
+    line: int = 0            # line in the file read, 0 if unknown
 
 
 def _parse_float(raw: str, what: str, line: int) -> float:
@@ -81,37 +82,35 @@ def _parse_float(raw: str, what: str, line: int) -> float:
     return value
 
 
+def _manifest_row(fields: dict, base: str, line: int) -> ManifestRow:
+    """A ManifestRow from the text fields of a manifest or feature-table
+    row (a dict over _ROW_FIELDS; absent ones read as empty), its cloud
+    paths resolved against the directory base."""
+    row = {name: (fields.get(name) or "").strip() for name in _ROW_FIELDS}
+    if not row["ref_path"] or not row["dist_path"]:
+        raise MissingColumn(f"row {line}: empty cloud path")
+    row["mos"] = _parse_float(row["mos"], "mos", line)
+    row["mos_std"] = (_parse_float(row["mos_std"], "mos_std", line)
+                      if row["mos_std"] else None)
+    return ManifestRow(**row, ref_file=os.path.join(base, row["ref_path"]),
+                       dist_file=os.path.join(base, row["dist_path"]),
+                       line=line)
+
+
 def load_manifest(path: str):
     """Parse a manifest CSV into ManifestRow records.
 
     Relative cloud paths are resolved against the manifest's directory.
     """
     base = os.path.dirname(os.path.abspath(path))
-    rows = []
     with open(path, newline="") as stream:
         reader = csv.DictReader(stream)
         header = reader.fieldnames or []
         missing = [c for c in _MANIFEST_REQUIRED if c not in header]
         if missing:
             raise MissingColumn(f"manifest lacks columns {missing}")
-        for record in reader:
-            line = reader.line_num
-            mos = _parse_float(record["mos"], "mos", line)
-            std_raw = (record.get("mos_std") or "").strip()
-            mos_std = (_parse_float(std_raw, "mos_std", line)
-                       if std_raw else None)
-            ref_path = record["ref_path"].strip()
-            dist_path = record["dist_path"].strip()
-            if not ref_path or not dist_path:
-                raise MissingColumn(f"row {line}: empty cloud path")
-            rows.append(ManifestRow(
-                group_id=record["group_id"].strip(),
-                ref_path=ref_path, dist_path=dist_path,
-                mos=mos, mos_std=mos_std,
-                codec=(record.get("codec") or "").strip(),
-                rate=(record.get("rate") or "").strip(),
-                ref_file=os.path.join(base, ref_path),
-                dist_file=os.path.join(base, dist_path), line=line))
+        rows = [_manifest_row(record, base, reader.line_num)
+                for record in reader]
     if not rows:
         raise MissingColumn(f"manifest {path!r} has no data rows")
     return rows
@@ -427,10 +426,6 @@ def _read_meta(line: str, path: str) -> dict:
     return meta
 
 
-_ROW_FIELDS = ("group_id", "ref_path", "dist_path", "mos", "mos_std",
-               "codec", "rate")
-
-
 def write_features_csv(table: FeatureTable, path: str):
     with open(path, "w", newline="") as stream:
         stream.write(_meta_line(schema_version=_SCHEMA,
@@ -457,22 +452,18 @@ def read_features_csv(path: str) -> FeatureTable:
         for record in reader:
             if not record:
                 continue
-            line = reader.line_num
+            line = reader.line_num + 1    # the schema line precedes the reader
             fixed, feats = record[:len(_ROW_FIELDS)], record[len(_ROW_FIELDS):]
             if len(feats) != len(names):
                 raise SchemaMismatch(
                     f"{path!r} row {line}: expected {len(names)} feature "
                     f"values, got {len(feats)}")
-            group, ref_path, dist_path, mos, mos_std, codec, rate = fixed
-            rows.append(ManifestRow(
-                group_id=group, ref_path=ref_path, dist_path=dist_path,
-                mos=_parse_float(mos, "mos", line),
-                mos_std=(_parse_float(mos_std, "mos_std", line)
-                         if mos_std else None),
-                codec=codec, rate=rate,
-                ref_file=os.path.join(base, ref_path),
-                dist_file=os.path.join(base, dist_path)))
-            values.append([float(v) for v in feats])
+            rows.append(_manifest_row(dict(zip(_ROW_FIELDS, fixed)), base,
+                                      line))
+            try:
+                values.append([float(v) for v in feats])
+            except ValueError as exc:
+                raise SchemaMismatch(f"{path!r} row {line}: {exc}") from None
     return FeatureTable(rows, names, np.asarray(values, dtype=np.float64),
                         meta.get("config_hash", ""))
 
@@ -501,8 +492,13 @@ def read_scores_csv(path: str):
         for record in reader:
             if not record:
                 continue
+            line = reader.line_num + 1
+            if len(record) != len(header):
+                raise SchemaMismatch(f"{path!r} row {line}: expected "
+                                     f"{len(header)} fields, got "
+                                     f"{len(record)}")
             keys.append((record[0], record[1], record[2]))
-            scores.append(_parse_float(record[3], "score", reader.line_num))
+            scores.append(_parse_float(record[3], "score", line))
     return keys, np.asarray(scores, dtype=np.float64), meta
 
 

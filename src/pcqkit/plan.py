@@ -1,14 +1,16 @@
 """Every neighbour query of a (reference, distorted) pair, made lazily.
 
-A ReferenceContext holds what depends on the reference alone and serves
-each of its distortions; a PairPlan adds what depends on the distorted
-cloud. Each field is a cached property, so a query runs at most once per
-pair, and only when a metric reads it. The metric entry points
-(compute_d1, compute_d2, compute_yuv, pointssim_score,
-compute_pcqm_features, msgraphsim_score) each take a PairPlan and read
-their settings from plan.config, so a standalone call and the pipeline
-run the same code. A plan is built from the reference cloud, or from a
-context that already holds it and its config:
+A ReferenceContext holds what depends on one cloud alone: its kd-tree,
+its self queries, normals, colours and PointSSIM fields. A PairPlan
+holds one context per cloud and adds the queries that cross them. A
+reference's context is the one its distortions share. Each field is a
+cached property, so a query runs at most once per pair, and only when a
+metric reads it. The metric entry points (compute_d1, compute_d2,
+compute_yuv, pointssim_score, compute_pcqm_features, msgraphsim_score)
+each take a PairPlan and read their settings from plan.config, so a
+standalone call and the pipeline run the same code. A plan is built
+from the reference cloud, or from a context that already holds it and
+its config:
 
     plan = PairPlan.build(ref, dist)
     compute_d1(plan).psnr_db
@@ -37,37 +39,28 @@ from .surface import estimate_normals
 __all__ = ["ReferenceContext", "PairPlan"]
 
 
-def _with_normals(cloud: PointCloud, index, radius: float) -> PointCloud:
-    """The cloud itself if it has normals, else with estimated ones."""
-    if cloud.has_normals:
-        return cloud
-    if len(cloud) < 3:
-        raise MissingNormalsUnrecoverable(
-            f"cloud of {len(cloud)} points has no normals and is too small "
-            "to estimate them")
-    return estimate_normals(cloud, index.radius_batch(cloud.positions, radius))
-
-
 @dataclass(frozen=True, eq=False)
 class ReferenceContext:
-    """Every result that depends on the reference alone, made once and
-    reused for each of its distortions.
+    """Every result that depends on one cloud alone, each made once.
+
+    A reference's context is the one its distortions share; a PairPlan
+    builds one more for its distorted cloud under the same config.
 
     One self k-NN query (k = max(pointssim_k, graphsim_k + 1, 2)) feeds
     every self-neighbor lookup: rows of knn_batch are sorted by
     (distance, index), so its first j columns equal a j-query.
     """
 
-    cloud: PointCloud        # the reference, at the configured bit depth
+    cloud: PointCloud        # at the configured bit depth
     config: Config
 
     @classmethod
-    def build(cls, ref: PointCloud, config: Config = None):
-        """The context of ref under config (default Config())."""
+    def build(cls, cloud: PointCloud, config: Config = None):
+        """The context of cloud under config (default Config())."""
         config = config or Config()
         if config.cloud_bit_depth is not None:
-            ref = replace(ref, bit_depth=config.cloud_bit_depth)
-        return cls(ref, config)
+            cloud = replace(cloud, bit_depth=config.cloud_bit_depth)
+        return cls(cloud, config)
 
     @cached_property
     def index(self):
@@ -82,9 +75,16 @@ class ReferenceContext:
 
     @cached_property
     def with_normals(self) -> PointCloud:
-        """The reference with its given or estimated normals, for D2."""
-        return _with_normals(self.cloud, self.index,
-                             self.config.psnr_normal_radius)
+        """The cloud with its given or estimated normals, for D2."""
+        cloud = self.cloud
+        if cloud.has_normals:
+            return cloud
+        if len(cloud) < 3:
+            raise MissingNormalsUnrecoverable(
+                f"cloud of {len(cloud)} points has no normals and is too "
+                "small to estimate them")
+        return estimate_normals(cloud, self.index.radius_batch(
+            cloud.positions, self.config.psnr_normal_radius))
 
     @cached_property
     def ycc(self) -> np.ndarray:
@@ -116,7 +116,7 @@ class ReferenceContext:
 
     @cached_property
     def corr(self):
-        """The reference's own PCQM fields: its correspondence to itself."""
+        """The cloud's own PCQM fields: its correspondence to itself."""
         return build_correspondence(self.cloud, self.cloud,
                                     self.pcqm_neighbors, self.knn[0][:, 0],
                                     self.lab_table)
@@ -130,10 +130,11 @@ class ReferenceContext:
 
 @dataclass(frozen=True, eq=False)
 class PairPlan:
-    """Every query of one pair that involves the distorted cloud."""
+    """The contexts of both clouds of one pair, under one config, and
+    every query that crosses them."""
 
     reference: ReferenceContext
-    dist: PointCloud         # the distorted cloud, at the configured depth
+    distorted: ReferenceContext
 
     @classmethod
     def build(cls, ref: Union[PointCloud, ReferenceContext],
@@ -151,10 +152,7 @@ class PairPlan:
         elif config is not None:
             raise TypeError("a ReferenceContext carries its own config; "
                             "pass no config with it")
-        config = ref.config
-        if config.cloud_bit_depth is not None:
-            dist = replace(dist, bit_depth=config.cloud_bit_depth)
-        return cls(ref, dist)
+        return cls(ref, ReferenceContext.build(dist, ref.config))
 
     @property
     def config(self) -> Config:
@@ -164,9 +162,9 @@ class PairPlan:
     def ref(self) -> PointCloud:
         return self.reference.cloud
 
-    @cached_property
-    def dist_index(self):
-        return build_index(self.dist)
+    @property
+    def dist(self) -> PointCloud:
+        return self.distorted.cloud
 
     @cached_property
     def nearest_forward(self):
@@ -176,18 +174,7 @@ class PairPlan:
     @cached_property
     def nearest_backward(self):
         """(index, distance) of the nearest dist point of every ref point."""
-        return self.dist_index.nearest_batch(self.ref.positions)
-
-    @cached_property
-    def dist_knn(self):
-        """The dist self k-NN query, k = pointssim_k."""
-        return self.dist_index.knn_batch(self.dist.positions,
-                                         self.config.pointssim_k)
-
-    @cached_property
-    def dist_with_normals(self) -> PointCloud:
-        return _with_normals(self.dist, self.dist_index,
-                             self.config.psnr_normal_radius)
+        return self.distorted.index.nearest_batch(self.ref.positions)
 
     @cached_property
     def corr(self):
@@ -197,8 +184,8 @@ class PairPlan:
         reference = self.reference
         return build_correspondence(
             self.ref, self.dist,
-            self.dist_index.radius_batch(self.ref.positions,
-                                         reference.pcqm_radius),
+            self.distorted.index.radius_batch(self.ref.positions,
+                                              reference.pcqm_radius),
             self.nearest_backward[0], reference.lab_table)
 
     @cached_property
@@ -206,6 +193,6 @@ class PairPlan:
         """The dist points within the graph radius of every keypoint,
         sorted by distance."""
         graphsim = self.reference.graphsim
-        return self.dist_index.radius_batch(
+        return self.distorted.index.radius_batch(
             self.ref.positions[graphsim.keypoints], graphsim.radius,
             sort_by_distance=True)

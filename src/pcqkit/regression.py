@@ -418,8 +418,13 @@ class FusionModel:
 
     @classmethod
     def load(cls, path):
+        """The model saved at path; UnknownModel if it holds none."""
         with open(path) as stream:
-            return cls.from_dict(json.load(stream))
+            try:
+                return cls.from_dict(json.load(stream))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise UnknownModel(
+                    f"{path!r} is not a model file: {exc!r}") from None
 
 
 def make_model(name: str, params: dict = None) -> FusionModel:

@@ -373,3 +373,84 @@ def test_predict_refuses_unknown_model_file(tmp_path, key, value, message):
                            str(features), "--out", str(tmp_path / "s.csv"))
     assert code == 2
     assert message in err and "Traceback" not in err
+
+
+def _refused(code, err):
+    return code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", ["abc", ""], ids=["text", "empty"])
+def test_train_refuses_a_feature_cell_that_is_no_number(tmp_path, cell):
+    features = _random_features(tmp_path / "features.csv")
+    lines = features.read_text().splitlines()
+    cells = lines[4].split(",")
+    cells[9] = cell
+    lines[4] = ",".join(cells)
+    features.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli("train", "--features", str(features), "--model",
+                           "model1", "--out", str(tmp_path / "m.json"))
+    assert _refused(code, err), err
+    assert "row 5" in err
+
+
+def test_evaluate_refuses_a_short_score_row(tmp_path):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("group_id,ref_path,dist_path,mos\n"
+                        "g0,r.ply,d0.ply,3.0\ng0,r.ply,d1.ply,2.0\n")
+    scores = tmp_path / "scores.csv"
+    scores.write_text("# schema_version=1 model=m config_hash=abc\n"
+                      "group_id,ref_path,dist_path,score\n"
+                      "g0,r.ply,d0.ply,3.1\ng0,r.ply,d1.ply\n")
+    code, _, err = run_cli("evaluate", "--scores", str(scores),
+                           "--manifest", str(manifest))
+    assert _refused(code, err), err
+    assert "row 4: expected 4 fields, got 3" in err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(feature table, model file) of a model1 fitted to that table."""
+    root = tmp_path_factory.mktemp("trained")
+    features, model = _random_features(root / "f.csv"), root / "model.json"
+    code, _, err = run_cli("train", "--features", str(features), "--model",
+                           "model1", "--out", str(model))
+    assert code == 0, err
+    return features, model
+
+
+def _without_features(model):
+    state = json.loads(model.read_text())
+    del state["features"]
+    return json.dumps(state)
+
+
+@pytest.mark.parametrize("text", [lambda model: "not json",
+                                  _without_features, lambda model: "[]"],
+                         ids=["text", "no-features", "list"])
+def test_predict_refuses_a_file_that_is_no_model(trained, tmp_path, text):
+    features, model = trained
+    bad = tmp_path / "model.json"
+    bad.write_text(text(model))
+    code, _, err = run_cli("predict", "--model", str(bad), "--features",
+                           str(features), "--out", str(tmp_path / "s.csv"))
+    assert _refused(code, err), err
+    assert "is not a model file" in err
+
+
+@pytest.mark.parametrize("flag", ["--features", "--model", "--out"])
+def test_a_directory_for_a_file_is_a_data_error(trained, tmp_path, flag):
+    features, model = trained
+    paths = {"--features": str(features), "--model": str(model),
+             "--out": str(tmp_path / "scores.csv")}
+    paths[flag] = str(tmp_path)
+    code, _, err = run_cli("predict", *(x for kv in paths.items() for x in kv))
+    assert _refused(code, err), err
+    assert "Is a directory" in err
+
+
+def test_importing_the_cli_loads_no_scipy_optimize():
+    # info, metric and extract never fit a logistic, so they do not pay
+    # for importing scipy.optimize
+    probe = ("import sys, pcqkit, pcqkit.cli; "
+             "sys.exit('scipy.optimize' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", probe]).returncode == 0

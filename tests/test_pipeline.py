@@ -12,9 +12,9 @@ from pcqkit.errors import (BadMosValue, ConfigMismatch, JoinMismatch,
                            MissingColumn, PcqkitError, SchemaMismatch)
 from pcqkit.io_ply import load_ply, save_ply
 from pcqkit.metrics.psnr import compute_d1
-from pcqkit.pipeline import (FEATURE_COLUMNS, ManifestRow, PairPlan,
-                             ReferenceContext, _pair_cache_key, _runs,
-                             compute_pair_metrics, extract_features,
+from pcqkit.pipeline import (FEATURE_COLUMNS, FeatureTable, ManifestRow,
+                             PairPlan, ReferenceContext, _pair_cache_key,
+                             _runs, compute_pair_metrics, extract_features,
                              feature_vector, join_scores, load_manifest,
                              read_features_csv, read_scores_csv,
                              write_features_csv, write_scores_csv)
@@ -154,6 +154,28 @@ def test_features_csv_schema_guard(tmp_path):
         read_features_csv(path)
     path.write_text("# schema_version=99 config_hash=x\ngroup_id\n")
     with pytest.raises(SchemaMismatch):
+        read_features_csv(path)
+
+
+def test_manifest_short_row_is_a_data_error(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("group_id,ref_path,dist_path,mos\n"
+                    "a,r.ply,d.ply,4.0\na,r.ply\n")
+    with pytest.raises(MissingColumn, match="row 3: empty cloud path"):
+        load_manifest(path)
+
+
+def test_feature_cells_take_nan_and_inf_and_refuse_text(tmp_path):
+    rows = [ManifestRow("g", "r.ply", f"d{i}.ply", 3.0, line=i + 3)
+            for i in range(2)]
+    values = np.array([[math.nan, math.inf], [-math.inf, 0.5]])
+    path = tmp_path / "f.csv"
+    write_features_csv(FeatureTable(rows, ("a", "b"), values, "x"), path)
+    back = read_features_csv(path)
+    assert np.array_equal(back.values, values, equal_nan=True)
+    assert [r.line for r in back.rows] == [3, 4]
+    path.write_text(path.read_text().replace("0.5", "abc"))
+    with pytest.raises(SchemaMismatch, match="row 4: .*'abc'"):
         read_features_csv(path)
 
 

@@ -1,11 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pcqkit.config import Config
 from pcqkit.errors import ConfigMismatch
-from pcqkit.metrics.pointssim import (ESTIMATORS, pointssim_pool,
-                                      pointssim_score)
+from pcqkit.metrics.pointssim import (ESTIMATORS, extract_dispersion,
+                                      pointssim_pool, pointssim_score)
 from pcqkit.plan import PairPlan
+from pcqkit.spatial import build_index
 
 from conftest import jitter, surface_cloud
 
@@ -75,3 +78,23 @@ def test_unknown_estimator():
     # refused when the Config is made, before any metric runs
     with pytest.raises(ConfigMismatch, match="^pointssim_estimator: "):
         Config(pointssim_estimator="mystery")
+
+
+def test_dist_context_shares_the_config_and_a_wider_knn():
+    ref = surface_cloud(600, seed=11)
+    dist = jitter(ref, 1.0, seed=12, color_sigma=6.0)
+    config = Config(pointssim_k=4, graphsim_k=10, cloud_bit_depth=12)
+    plan = PairPlan.build(ref, dist, config)
+    assert plan.distorted.config is plan.config
+    assert plan.dist.bit_depth == 12
+    # the dist context's one self k-NN has graphsim_k + 1 = 11 columns;
+    # PointSSIM reads its first 4, which equal a separate 4-query
+    assert plan.distorted.knn[0].shape[1] == 11
+    cloud = replace(dist, bit_depth=12)
+    knn4 = build_index(cloud).knn_batch(cloud.positions, 4)
+    for attribute in ("luminance", "geometry"):
+        expected = pointssim_pool(
+            plan.reference.fields[attribute],
+            extract_dispersion(cloud, knn4, attribute, config),
+            plan.nearest_forward[0], config.pointssim_pooling_exponent)
+        assert pointssim_score(plan, attribute) == expected
