@@ -84,16 +84,11 @@ def _emit(payload, out_path):
 
 
 def _config_from(args):
-    overrides = {}
-    if getattr(args, "bitdepth", None) is not None:
-        overrides["cloud_bit_depth"] = args.bitdepth
-    if getattr(args, "jobs", None) is not None:
-        overrides["pipeline_jobs"] = args.jobs
-    if getattr(args, "cache", None) is not None:
-        overrides["pipeline_cache_dir"] = args.cache
-    if getattr(args, "seed", None) is not None:
-        overrides["pipeline_seed"] = args.seed
-    return load_config(args.config, overrides)
+    flags = {"bitdepth": "cloud_bit_depth", "jobs": "pipeline_jobs",
+             "cache": "pipeline_cache_dir", "seed": "pipeline_seed"}
+    return load_config(args.config, {
+        field: getattr(args, flag) for flag, field in flags.items()
+        if getattr(args, flag, None) is not None})
 
 
 def _cmd_info(args):
@@ -160,14 +155,7 @@ def _require_hash_match(table_hash, other_hash, what, force):
         print(f"warning: {message}", file=sys.stderr)
 
 
-def _check_model_name(name):
-    if MODEL_ALIASES.get(name, name) not in MODEL_REGISTRY:
-        known = ", ".join(sorted(MODEL_REGISTRY) + sorted(MODEL_ALIASES))
-        raise _UsageError(f"unknown model {name!r} (known: {known})")
-
-
 def _cmd_train(args):
-    _check_model_name(args.model)
     seed = _config_from(args).pipeline_seed
     table = read_features_csv(args.features)
     model = make_model(args.model)
@@ -232,7 +220,6 @@ def _cmd_evaluate(args):
 
 
 def _cmd_crossval(args):
-    _check_model_name(args.model)
     seed = _config_from(args).pipeline_seed
     table = read_features_csv(args.features)
     model_name = MODEL_ALIASES.get(args.model, args.model)
@@ -256,6 +243,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="pcqkit",
                      description="Point cloud quality metrics and fusion")
     sub = parser.add_subparsers(dest="command", metavar="command")
+    models = (*sorted(MODEL_REGISTRY), *sorted(MODEL_ALIASES))
 
     def add(name, fn, help_text):
         p = sub.add_parser(name, help=help_text)
@@ -285,7 +273,7 @@ def _build_parser() -> _Parser:
 
     p = add("train", _cmd_train, "fit a fusion model on a feature table")
     p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=models)
     p.add_argument("--seed", type=int)
     p.set_defaults(out_required=True)
 
@@ -309,7 +297,7 @@ def _build_parser() -> _Parser:
 
     p = add("crossval", _cmd_crossval, "group-aware cross-validation")
     p.add_argument("--features", required=True)
-    p.add_argument("--model", required=True)
+    p.add_argument("--model", required=True, choices=models)
     p.add_argument("--folds", type=_int_from(2), default=10)
     p.add_argument("--seed", type=int)
 

@@ -47,7 +47,6 @@ class GraphFeatures:
 
     m_g: np.ndarray        # (n, c) gradient sum
     mu_g: np.ndarray       # (n, c) gradient mean
-    var_g: np.ndarray      # (n, c) gradient variance (population)
     offsets: np.ndarray    # (n + 1,) int64 row boundaries
     gradients: np.ndarray  # (offsets[-1] + 1, c)
 
@@ -121,7 +120,7 @@ def graph_features(members, positions, signals, centers, scale: int,
     n, channels = len(members), signals.shape[1]
     lengths = np.maximum(-(-members.counts // 2 ** scale) - 1, 0)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    m_g, mu_g, var_g = (np.zeros((n, channels)) for _ in range(3))
+    m_g, mu_g = np.zeros((n, channels)), np.zeros((n, channels))
     gradients = np.zeros((offsets[-1] + 1, channels))
     for rows, kept, pos in graph_blocks(members, positions, scale, centroid):
         diff = pos - centers[rows, None]
@@ -143,10 +142,8 @@ def graph_features(members, positions, signals, centers, scale: int,
         g = np.sqrt(w[:, 1:, None]) * (f[:, 1:] - f[:, :1])
         m_g[rows] = g.sum(axis=1)
         mu_g[rows] = m_g[rows] / g.shape[1]
-        gd = g - g.mean(axis=1, keepdims=True)
-        var_g[rows] = (gd * gd).mean(axis=1)
         gradients[offsets[rows, None] + np.arange(g.shape[1])] = g
-    return GraphFeatures(m_g, mu_g, var_g, offsets, gradients)
+    return GraphFeatures(m_g, mu_g, offsets, gradients)
 
 
 def _padded(features: GraphFeatures, rows, n: int) -> np.ndarray:

@@ -39,6 +39,21 @@ from .surface import estimate_normals
 __all__ = ["ReferenceContext", "PairPlan"]
 
 
+class _Fields(dict):
+    """PointSSIM fields of one cloud, each made when first read. It holds
+    no reference to its context, which holds it: a cycle would keep every
+    context alive until the cyclic garbage collector ran."""
+
+    def __init__(self, cloud, knn, config):
+        self.args = cloud, knn, config
+
+    def __missing__(self, attribute):
+        cloud, knn, config = self.args
+        field = self[attribute] = extract_dispersion(cloud, knn, attribute,
+                                                     config)
+        return field
+
+
 @dataclass(frozen=True, eq=False)
 class ReferenceContext:
     """Every result that depends on one cloud alone, each made once.
@@ -94,10 +109,9 @@ class ReferenceContext:
 
     @cached_property
     def fields(self) -> dict:
-        """attribute -> (n,) PointSSIM dispersion values."""
-        return {attribute: extract_dispersion(self.cloud, self.knn,
-                                              attribute, self.config)
-                for attribute in ("luminance", "geometry")}
+        """attribute -> (n,) PointSSIM dispersion values; geometry
+        needs no colours."""
+        return _Fields(self.cloud, self.knn, self.config)
 
     @cached_property
     def lab_table(self) -> Optional[Lab2000HLTable]:

@@ -3,7 +3,7 @@
 A kd-tree (scipy.spatial.cKDTree) finds candidates; distances are then
 recomputed with one canonical formula and ties are broken by ascending
 point index, so results are exact and fully deterministic regardless of
-tree internals or worker count.
+tree internals.
 """
 
 import itertools
@@ -77,7 +77,7 @@ class SpatialIndex:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         k_eff = min(int(k), self.n)
-        d0, _ = self._tree.query(queries, k=k_eff, workers=-1)
+        d0, _ = self._tree.query(queries, k=k_eff)
         d0 = d0.reshape(len(queries), k_eff)
         # all points at distance <= d_k, so boundary ties are never dropped;
         # the tiny inflation covers ulp mismatches in the tree's own metric,
@@ -118,8 +118,7 @@ class SpatialIndex:
         """Neighbors of the tree's candidates within ask of each query,
         kept where the canonical distance is <= keep; rows come
         index-ordered from the tree and stay so unless sorted."""
-        lists = self._tree.query_ball_point(
-            queries, ask, workers=-1, return_sorted=True)
+        lists = self._tree.query_ball_point(queries, ask, return_sorted=True)
         m = len(queries)
         counts = np.fromiter(map(len, lists), dtype=np.int64, count=m)
         idx = np.fromiter(itertools.chain.from_iterable(lists),

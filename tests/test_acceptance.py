@@ -163,9 +163,9 @@ def test_criterion_03_hand_values():
     # one graph of one zero gradient per side (plus the zero padding row)
     zeros, offsets = np.zeros((1, 1)), np.array([0, 1])
     sim = graph_pair_sims(
-        GraphFeatures(np.array([[2.0]]), zeros, zeros, offsets,
+        GraphFeatures(np.array([[2.0]]), zeros, offsets,
                       np.zeros((2, 1))),
-        GraphFeatures(np.array([[4.0]]), zeros, zeros, offsets,
+        GraphFeatures(np.array([[4.0]]), zeros, offsets,
                       np.zeros((2, 1))), (0.001, 0.001, 0.001))[0, 0, 0]
     if abs(sim - 0.800) >= 1e-3:
         failures.append(f"sim_mg {sim}")

@@ -196,6 +196,10 @@ def test_usage_errors_exit_1(corpus, tmp_path):
                            "--model", "model99", "--out",
                            str(tmp_path / "m.json"))
     assert code == 1
+    code, _, err = run_cli("crossval", "--features", "x.csv",
+                           "--model", "model99")
+    assert code == 1
+    assert "model99" in err
     code, _, _ = run_cli("extract", "--manifest",
                          str(corpus / "manifest.csv"))  # --out required
     assert code == 1

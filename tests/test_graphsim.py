@@ -30,7 +30,7 @@ def keypoints(cloud, fraction):
 def one_graph(m_g):
     """GraphFeatures of one graph with one zero gradient of one channel."""
     zeros = np.zeros((1, 1))
-    return GraphFeatures(np.array([[m_g]]), zeros, zeros, np.array([0, 1]),
+    return GraphFeatures(np.array([[m_g]]), zeros, np.array([0, 1]),
                          np.zeros((2, 1)))
 
 
@@ -139,7 +139,7 @@ def test_scales_are_scored_independently_and_reference_is_reusable():
 # graph pair at a time, as the metric was first written
 
 def _oracle_features(positions, signals, center_pos, smoothing):
-    """(m_g, mu_g, var_g, gradients) of one distance-sorted graph."""
+    """(m_g, mu_g, gradients) of one distance-sorted graph."""
     diff = positions - center_pos
     d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     sigma = float(d[1:].mean()) if len(d) > 1 else 0.0
@@ -159,14 +159,13 @@ def _oracle_features(positions, signals, center_pos, smoothing):
     g = np.sqrt(w[1:, None]) * (f[1:] - f[0])
     if len(g) == 0:
         zeros = np.zeros(signals.shape[1])
-        return zeros, zeros, zeros, g
+        return zeros, zeros, g
     m_g = g.sum(axis=0)
-    gd = g - g.mean(axis=0)
-    return m_g, m_g / len(g), (gd * gd).mean(axis=0), g
+    return m_g, m_g / len(g), g
 
 
 def _oracle_pair_sims(feat_ref, feat_dist, t):
-    (m_r, u_r, _, gr), (m_d, u_d, _, gd) = feat_ref, feat_dist
+    (m_r, u_r, gr), (m_d, u_d, gd) = feat_ref, feat_dist
     sim_m = (2.0 * m_r * m_d + t[0]) / (m_r ** 2 + m_d ** 2 + t[0])
     sim_u = (2.0 * u_r * u_d + t[1]) / (u_r ** 2 + u_d ** 2 + t[1])
     n = max(len(gr), len(gd))
@@ -214,7 +213,7 @@ def oracle_score(plan):
                                    smoothing)
             if len(d_idx) == 0:
                 zeros = np.zeros(3)
-                feat_d = (zeros, zeros, zeros, np.zeros((0, 3)))
+                feat_d = (zeros, zeros, np.zeros((0, 3)))
             else:
                 feat_d = _oracle_graph(dist, sig_dist, d_idx, s, center,
                                        centroid, smoothing)

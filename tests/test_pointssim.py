@@ -1,10 +1,13 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pcqkit.cloud import PointCloud
 from pcqkit.config import Config
-from pcqkit.errors import ConfigMismatch
+from pcqkit.errors import ConfigMismatch, MissingAttribute
 from pcqkit.metrics.pointssim import (ESTIMATORS, extract_dispersion,
                                       pointssim_pool, pointssim_score)
 from pcqkit.plan import PairPlan
@@ -98,3 +101,35 @@ def test_dist_context_shares_the_config_and_a_wider_knn():
             extract_dispersion(cloud, knn4, attribute, config),
             plan.nearest_forward[0], config.pointssim_pooling_exponent)
         assert pointssim_score(plan, attribute) == expected
+
+
+def test_geometry_needs_no_colors():
+    # each field is made when first read: a colourless cloud on either
+    # side gives the geometry score of the same positions with colours
+    ref = surface_cloud(300, seed=13)
+    dist = jitter(ref, 1.0, seed=14, color_sigma=6.0)
+    bare_ref, bare_dist = (PointCloud(c.positions, bit_depth=c.bit_depth)
+                           for c in (ref, dist))
+    expected = score(ref, dist, "geometry")
+    for pair in ((bare_ref, dist), (ref, bare_dist), (bare_ref, bare_dist)):
+        plan = PairPlan.build(*pair)
+        assert pointssim_score(plan, "geometry") == expected
+        with pytest.raises(MissingAttribute):
+            pointssim_score(plan, "luminance")
+
+
+def test_a_plan_is_freed_without_the_cycle_collector():
+    # extract scores many distortions in one process; a context kept
+    # alive by a reference cycle holds its kd-tree and queries until the
+    # collector runs, which raises a worker's peak memory
+    ref = surface_cloud(300, seed=15)
+    plan = PairPlan.build(ref, jitter(ref, 1.0, seed=16, color_sigma=6.0))
+    for attribute in ("luminance", "geometry"):
+        pointssim_score(plan, attribute)
+    contexts = [weakref.ref(plan.reference), weakref.ref(plan.distorted)]
+    gc.disable()
+    try:
+        del plan
+        assert [context() for context in contexts] == [None, None]
+    finally:
+        gc.enable()

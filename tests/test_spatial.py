@@ -113,6 +113,34 @@ def test_contract_wrappers(small_surface):
         hoods[1]
 
 
+class RecordingTree:
+    """Stands in for a cKDTree: records the name and keyword arguments
+    of every call, then answers it from the real tree."""
+
+    def __init__(self, tree):
+        self.tree, self.calls = tree, []
+
+    def __getattr__(self, name):
+        def call(*args, **kwargs):
+            self.calls.append((name, kwargs))
+            return getattr(self.tree, name)(*args, **kwargs)
+        return call
+
+
+def test_queries_run_on_the_calling_thread(small_surface):
+    # a pool worker that starts query threads of its own oversubscribes
+    # the cores the pool already uses
+    index = build_index(small_surface)
+    index._tree = tree = RecordingTree(index._tree)
+    queries = small_surface.positions[:50]
+    index.knn_batch(queries, 6)
+    index.radius_batch(queries, 15.0)
+    index.nearest_batch(queries)
+    assert {name for name, _ in tree.calls} == {"query", "query_ball_point"}
+    for name, kwargs in tree.calls:
+        assert kwargs.get("workers", 1) == 1, (name, kwargs)
+
+
 def test_knn_memory_on_coincident_points_is_bounded():
     # 500 points on one voxel give 500 tied candidates each; padding every
     # row to the widest one made this peak at about 240 MB
