@@ -6,7 +6,7 @@ point index, so results are exact and fully deterministic regardless of
 tree internals.
 """
 
-import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +16,8 @@ from .cloud import PointCloud
 from .errors import EmptyCloud
 
 __all__ = ["Neighbors", "SpatialIndex", "build_index"]
+
+_BLOCK_ROWS = 4096   # query rows per tree call: bounds one block's pairs
 
 
 def _distances(positions, query):
@@ -74,17 +76,25 @@ class SpatialIndex:
         by (distance, index); k_eff = min(k, n).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        k_eff = min(int(k), self.n)
-        d0, _ = self._tree.query(queries, k=k_eff)
-        d0 = d0.reshape(len(queries), k_eff)
-        # all points at distance <= d_k, so boundary ties are never dropped;
-        # the tiny inflation covers ulp mismatches in the tree's own metric,
-        # extra candidates fall behind the first k_eff once sorted
-        nbrs = self._query(queries, d0[:, -1] * (1.0 + 1e-9), np.inf, True)
-        take = nbrs.offsets[:-1, None] + np.arange(k_eff)
-        return nbrs.indices[take], nbrs.distances[take]
+        if isinstance(k, bool) or operator.index(k) < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        k_eff, ask_k = min(k, self.n), min(k + 1, self.n)
+        idx = self._tree.query(queries, k=ask_k)[1].reshape(-1, ask_k)
+        dst = _distances(self.positions.take(idx, 0), queries[:, None])
+        order = np.lexsort((idx, dst))
+        idx, dst = (np.take_along_axis(a, order, 1) for a in (idx, dst))
+        if k_eff < self.n:
+            # no point the tree left out is nearer than its (k+1)-th, so only
+            # rows where that is within ulps of the k-th may hide a tie; they
+            # take every point to the k-th, and extras sort behind the first k
+            ask = dst[:, k_eff - 1] * (1.0 + 1e-9)
+            tie = np.flatnonzero(~(dst[:, k_eff] > ask))
+            tie = tie[np.argsort(ask[tie], kind="stable")]
+            nbrs = self._query(queries[tie], ask[tie], np.inf, True)
+            take = nbrs.offsets[:-1, None] + np.arange(k_eff)
+            idx[tie, :k_eff] = nbrs.indices[take]
+            dst[tie, :k_eff] = nbrs.distances[take]
+        return idx[:, :k_eff].copy(), dst[:, :k_eff].copy()
 
     def radius_batch(self, queries, radius, sort_by_distance=False):
         """All neighbors within radius (inclusive) of each query row.
@@ -115,28 +125,33 @@ class SpatialIndex:
         return float(dst[:, 1].mean())
 
     def _query(self, queries, ask, keep, sort_by_distance):
-        """Neighbors of the tree's candidates within ask of each query,
-        kept where the canonical distance is <= keep; rows come
-        index-ordered from the tree and stay so unless sorted."""
-        lists = self._tree.query_ball_point(queries, ask, return_sorted=True)
+        """Neighbors within ask of each query by the tree's metric, kept
+        where the canonical distance is <= keep, a block of rows at a
+        time; rows are index-ordered unless sorted by (distance, index)."""
         m = len(queries)
-        counts = np.fromiter(map(len, lists), dtype=np.int64, count=m)
-        idx = np.fromiter(itertools.chain.from_iterable(lists),
-                          dtype=np.int64, count=int(counts.sum()))
-        row = np.repeat(np.arange(m), counts)
-        dst = _distances(self.positions[idx], queries[row])
-        inside = dst <= np.broadcast_to(keep, (m,))[row]
-        idx, dst, row = idx[inside], dst[inside], row[inside]
-        if sort_by_distance:
-            # complex numbers sort by real part, then imaginary part: by
-            # row, then distance, and the stable sort keeps ties in index
-            # order. lexsort((dst, row)) gives the same order, but sorts
-            # every distance globally first and is several times slower
-            order = np.argsort(row + 1j * dst, kind="stable")
-            idx, dst = idx[order], dst[order]
-        offsets = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row, minlength=m), out=offsets[1:])
-        return Neighbors(idx, dst, offsets)
+        ask, keep = np.broadcast_to(ask, (m,)), np.broadcast_to(keep, (m,))
+        parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
+        for lo in range(0, m, _BLOCK_ROWS):
+            block = queries[lo:lo + _BLOCK_ROWS]
+            reach = ask[lo:lo + len(block)]
+            pairs = self._tree.sparse_distance_matrix(
+                cKDTree(block), reach.max(), output_type="ndarray")
+            key = pairs["j"] * self.n + pairs["i"]
+            near = pairs["v"] <= reach[pairs["j"]]
+            row, idx = np.divmod(np.sort(key[near]), self.n)
+            dst = _distances(self.positions.take(idx, 0), block.take(row, 0))
+            inside = dst <= keep[lo + row]
+            idx, dst, row = idx[inside], dst[inside], row[inside]
+            if sort_by_distance:
+                # complex numbers sort by real part, then imaginary part: by
+                # row, then distance, and the stable sort keeps ties in index
+                # order. lexsort((dst, row)) gives the same order, but sorts
+                # every distance globally first and is several times slower
+                order = np.argsort(row + 1j * dst, kind="stable")
+                idx, dst = idx[order], dst[order]
+            parts.append((idx, dst, np.bincount(row, minlength=len(block))))
+        idx, dst, counts = (np.concatenate(part) for part in zip(*parts))
+        return Neighbors(idx, dst, np.concatenate(([0], np.cumsum(counts))))
 
 
 def build_index(cloud) -> SpatialIndex:

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pcqkit.cloud import PointCloud
+from pcqkit import spatial
+from pcqkit.cloud import PointCloud, bounding_box
+from pcqkit.config import Config
 from pcqkit.spatial import build_index
+
+from conftest import surface_cloud
 
 
 def brute_knn(points, queries, k):
@@ -114,15 +118,15 @@ def test_contract_wrappers(small_surface):
 
 
 class RecordingTree:
-    """Stands in for a cKDTree: records the name and keyword arguments
-    of every call, then answers it from the real tree."""
+    """Stands in for a cKDTree: records the name and arguments of every
+    call, then answers it from the real tree."""
 
     def __init__(self, tree):
         self.tree, self.calls = tree, []
 
     def __getattr__(self, name):
         def call(*args, **kwargs):
-            self.calls.append((name, kwargs))
+            self.calls.append((name, args, kwargs))
             return getattr(self.tree, name)(*args, **kwargs)
         return call
 
@@ -136,9 +140,81 @@ def test_queries_run_on_the_calling_thread(small_surface):
     index.knn_batch(queries, 6)
     index.radius_batch(queries, 15.0)
     index.nearest_batch(queries)
-    assert {name for name, _ in tree.calls} == {"query", "query_ball_point"}
-    for name, kwargs in tree.calls:
+    assert {name for name, _, _ in tree.calls} == {"query",
+                                                   "sparse_distance_matrix"}
+    for name, _, kwargs in tree.calls:
         assert kwargs.get("workers", 1) == 1, (name, kwargs)
+
+
+def test_knn_on_duplicated_lattice_matches_oracle():
+    # about 9 coincident points per voxel of a unit lattice, each with six
+    # distinct neighbours at distance 1; cube centres have eight corners
+    # at one distance. Rows that may tie at the k-th and rows the tree's
+    # k+1 neighbours settle must both equal the oracle
+    rng = np.random.default_rng(12)
+    voxels = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
+    points = np.repeat(voxels, rng.integers(1, 18, len(voxels)), axis=0)
+    points = points[rng.permutation(len(points))]
+    queries = np.vstack([points, voxels[:27] + 0.5,
+                         rng.uniform(-1, 4, size=(100, 3))])
+    index = build_index(PointCloud(points))
+    index._tree = tree = RecordingTree(index._tree)
+    n = len(points)
+    for k in (1, 2, 12, n, n + 3):
+        tree.calls.clear()
+        idx, dst = index.knn_batch(queries, k)
+        oidx, odst = brute_knn(points, queries, k)
+        assert np.array_equal(idx, oidx) and np.array_equal(dst, odst), k
+        tie_rows = sum(args[0].n for name, args, _ in tree.calls
+                       if name == "sparse_distance_matrix")
+        if k < n:   # both branches taken
+            assert 0 < tie_rows < len(queries), (k, tie_rows)
+        else:       # the tree returned every point
+            assert tie_rows == 0, k
+
+
+def test_zero_query_rows_give_empty_results(small_surface):
+    index = build_index(small_surface)
+    none = np.empty((0, 3))
+    idx, dst = index.knn_batch(none, 4)
+    assert idx.shape == dst.shape == (0, 4)
+    idx, dst = index.nearest_batch(none)
+    assert idx.shape == dst.shape == (0,)
+    for sort_by_distance in (False, True):
+        hoods = index.radius_batch(none, 15.0, sort_by_distance)
+        assert len(hoods) == 0 and hoods.offsets.tolist() == [0]
+        assert len(hoods.indices) == len(hoods.distances) == 0
+
+
+def test_knn_takes_an_integer_k(small_surface):
+    index = build_index(small_surface)
+    queries = small_surface.positions[:5]
+    for k in (2.5, 2.0, np.float64(3.0), "3"):
+        with pytest.raises(TypeError):
+            index.knn_batch(queries, k)
+    for k in (True, 0, -1):
+        with pytest.raises(ValueError):
+            index.knn_batch(queries, k)
+    idx, _ = index.knn_batch(queries, np.int32(3))
+    assert idx.shape == (5, 3)
+
+
+def test_radius_memory_is_bounded_by_result_and_one_block():
+    # PCQM's radius h over 2e4 surface points: about 50 neighbours a row.
+    # Taking the tree's answer as Python lists peaked at 138 MB for a
+    # 16 MB result; a block's pairs are allowed 200 B each
+    cloud = surface_cloud(20000, seed=1, span=1000.0)
+    radius = Config().pcqm_radius_factor * bounding_box(cloud).diagonal
+    index = build_index(cloud)
+    tracemalloc.start()
+    try:
+        hoods = index.radius_batch(cloud.positions, radius)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held >= hoods.indices.nbytes + hoods.distances.nbytes
+    block = spatial._BLOCK_ROWS * len(hoods.indices) / len(cloud) * 200
+    assert peak < 2 * held + block, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_knn_memory_on_coincident_points_is_bounded():
