@@ -35,6 +35,7 @@ def _one_of(*allowed):
 
 _AT_LEAST_0 = (lambda v: v >= 0), "0 or more"
 _ABOVE_0 = (lambda v: v > 0), "more than 0"
+_COUNT = (lambda v: type(v) is int and v >= 1), "an integer, 1 or more"
 
 # field -> (test, what is legal); NaN fails every range test
 _LEGAL = {
@@ -49,7 +50,7 @@ _LEGAL = {
     "graphsim_n_scales": ((lambda v: v >= 3), "3 or more"),
     "graphsim_keypoint_fraction": ((lambda v: 0 < v <= 1),
                                    "a value in (0, 1]"),
-    "pointssim_k": ((lambda v: v >= 1), "1 or more"),
+    "pointssim_k": _COUNT, "graphsim_k": _COUNT,
     "pointssim_pooling_exponent": _ABOVE_0,
     "psnr_normal_radius": _AT_LEAST_0,
     "psnr_cap_db": _AT_LEAST_0,

@@ -89,7 +89,6 @@ class SpatialIndex:
             # take every point to the k-th, and extras sort behind the first k
             ask = dst[:, k_eff - 1] * (1.0 + 1e-9)
             tie = np.flatnonzero(~(dst[:, k_eff] > ask))
-            tie = tie[np.argsort(ask[tie], kind="stable")]
             nbrs = self._query(queries[tie], ask[tie], np.inf, True)
             take = nbrs.offsets[:-1, None] + np.arange(k_eff)
             idx[tie, :k_eff] = nbrs.indices[take]
@@ -103,8 +102,7 @@ class SpatialIndex:
         by (distance, index) on request.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-        radius = np.broadcast_to(
-            np.asarray(radius, dtype=np.float64), (len(queries),))
+        radius = np.asarray(radius, dtype=np.float64)
         if not np.all(radius >= 0):
             raise ValueError("radius must be non-negative")
         # over-ask, then trim against the canonical distance so inclusion
@@ -125,28 +123,29 @@ class SpatialIndex:
         return float(dst[:, 1].mean())
 
     def _query(self, queries, ask, keep, sort_by_distance):
-        """Neighbors within ask of each query by the tree's metric, kept
-        where the canonical distance is <= keep, a block of rows at a
-        time; rows are index-ordered unless sorted by (distance, index)."""
-        m = len(queries)
-        ask, keep = np.broadcast_to(ask, (m,)), np.broadcast_to(keep, (m,))
+        """Rows of neighbors within ask by the tree's metric and within keep
+        by the canonical distance, in index or (distance, index) order."""
+        ask, keep = (np.broadcast_to(a, len(queries)) for a in (ask, keep))
         parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
-        for lo in range(0, m, _BLOCK_ROWS):
-            block = queries[lo:lo + _BLOCK_ROWS]
-            reach = ask[lo:lo + len(block)]
-            pairs = self._tree.sparse_distance_matrix(
-                cKDTree(block), reach.max(), output_type="ndarray")
-            key = pairs["j"] * self.n + pairs["i"]
-            near = pairs["v"] <= reach[pairs["j"]]
-            row, idx = np.divmod(np.sort(key[near]), self.n)
+        for lo in range(0, len(queries), _BLOCK_ROWS):
+            block, reach = queries[lo:lo + _BLOCK_ROWS], ask[lo:lo + _BLOCK_ROWS]
+            # rows ask the tree together only where their asks share a binary
+            # exponent, so one row's large ask cannot widen the others' reach
+            scale, keys = np.frexp(reach + 1e-300)[1], []
+            for s in np.unique(scale):
+                sub = np.flatnonzero(scale == s)
+                pairs = self._tree.sparse_distance_matrix(
+                    cKDTree(block[sub]), reach[sub].max(), output_type="ndarray")
+                row = sub[pairs["j"]]
+                keys.append((row * self.n + pairs["i"])[pairs["v"] <= reach[row]])
+            row, idx = np.divmod(np.sort(np.concatenate(keys)), self.n)
             dst = _distances(self.positions.take(idx, 0), block.take(row, 0))
             inside = dst <= keep[lo + row]
             idx, dst, row = idx[inside], dst[inside], row[inside]
             if sort_by_distance:
-                # complex numbers sort by real part, then imaginary part: by
-                # row, then distance, and the stable sort keeps ties in index
-                # order. lexsort((dst, row)) gives the same order, but sorts
-                # every distance globally first and is several times slower
+                # complex keys sort by row, then distance, and the stable sort
+                # keeps ties in index order; lexsort((dst, row)) gives the same
+                # order but sorts every distance first, several times slower
                 order = np.argsort(row + 1j * dst, kind="stable")
                 idx, dst = idx[order], dst[order]
             parts.append((idx, dst, np.bincount(row, minlength=len(block))))

@@ -151,6 +151,11 @@ _RANGES = [
     ("graphsim_keypoint_fraction", 0.0, 1.0),
     ("graphsim_keypoint_fraction", 1.0000001, 1e-9),
     ("pointssim_k", 0, 1),
+    ("pointssim_k", 12.0, 12),
+    ("pointssim_k", True, 1),
+    ("graphsim_k", 0, 1),
+    ("graphsim_k", 10.5, 10),
+    ("graphsim_k", -3, 2),
     ("psnr_normal_radius", -1e-9, 0.0),
     ("pcqm_radius_factor", 0.0, 1e-9),
     ("graphsim_radius_factor", 0.0, 1e-9),

@@ -217,6 +217,34 @@ def test_radius_memory_is_bounded_by_result_and_one_block():
     assert peak < 2 * held + block, f"peak {peak / 1e6:.0f} MB"
 
 
+def test_one_large_ask_does_not_widen_a_block():
+    # every voxel holds 2 to 4 coincident points, so each nearest query at
+    # a voxel is a possible tie with an ask of 0; one far query asks about
+    # the cloud's extent. Sharing that ask with its block gave every row
+    # every point: 3e6 pairs, peaking at 51 MB against under 1 MB here. A
+    # per-row radius array with one large radius is the same case
+    rng = np.random.default_rng(5)
+    voxels = np.stack(np.meshgrid(*[np.arange(10.0)] * 3), -1).reshape(-1, 3)
+    points = np.repeat(voxels, rng.integers(2, 5, len(voxels)), axis=0)
+    queries = np.vstack([voxels, [[30.0, 30.0, 30.0]]])
+    radii = np.zeros(len(queries))
+    radii[-1] = 60.0
+    index = build_index(PointCloud(points))
+    oidx, odst = brute_knn(points, queries, 1)
+    tracemalloc.start()
+    try:
+        idx, dst = index.nearest_batch(queries)
+        hoods = index.radius_batch(queries, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(idx, oidx[:, 0]) and np.array_equal(dst, odst[:, 0])
+    assert hoods.counts[-1] == len(points)
+    assert (hoods.counts[:-1] >= 2).all()
+    assert (hoods.distances[:hoods.offsets[-2]] == 0).all()
+    assert peak < 5e6, f"peak {peak / 1e6:.0f} MB"
+
+
 def test_knn_memory_on_coincident_points_is_bounded():
     # 500 points on one voxel give 500 tied candidates each; padding every
     # row to the widest one made this peak at about 240 MB
