@@ -213,8 +213,7 @@ def _cmd_evaluate(args):
     manifest = FeatureTable(rows, (), np.empty((len(rows), 0)), "")
     report = evaluate(named, manifest.mos(), manifest.mos_std())
     if args.out:
-        with open(args.out, "w") as stream:
-            stream.write(report.to_json())
+        _emit(report.as_dict(), args.out)
     sys.stdout.write(report.table())
     return 0
 

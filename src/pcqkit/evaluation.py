@@ -22,7 +22,6 @@ twice the per-stimulus MOS deviation (falling back to twice the RMSE
 when deviations are not available).
 """
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -252,9 +251,6 @@ class EvaluationReport:
 
     def as_dict(self):
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
 
     def table(self) -> str:
         width = max([len(m.name) for m in self.metrics] + [6])

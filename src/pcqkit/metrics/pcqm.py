@@ -13,6 +13,10 @@ eight bounded comparison features:
 plus a weighted aggregate distance (0 = identical). The entry point,
 compute_pcqm_features, reads the radius-h queries, the nearest matches
 and the settings from a PairPlan.
+
+The statistics walk the radius-h self query in bounded row blocks
+(Neighbors.blocks), feature-major: per block, one reduceat for the seven
+weighted means and one for the six deviation products.
 """
 
 from dataclasses import dataclass
@@ -78,32 +82,6 @@ class PcqmFeatures:
         return {name: float(v) for name, v in zip(FEATURE_NAMES, self.values)}
 
 
-class _Segments:
-    """Gaussian-weighted two-pass statistics over ragged neighborhoods."""
-
-    def __init__(self, neighbors, sigma):
-        # every row holds at least its own center, as reduceat requires
-        self.offsets = neighbors.offsets[:-1]
-        self.flat = neighbors.indices
-        self.rows = np.repeat(np.arange(len(neighbors)), neighbors.counts)
-        d = neighbors.distances
-        self.w = np.exp(-(d * d) / (2.0 * sigma * sigma))
-        self.w_sum = np.add.reduceat(self.w, self.offsets)
-
-    def mean(self, field):
-        s = np.add.reduceat(self.w * field[self.flat], self.offsets)
-        return s / self.w_sum
-
-    def cov(self, field_x, mean_x, field_y, mean_y):
-        dx = field_x[self.flat] - mean_x[self.rows]
-        dy = field_y[self.flat] - mean_y[self.rows]
-        s = np.add.reduceat(self.w * dx * dy, self.offsets)
-        return s / self.w_sum
-
-    def var(self, field, mean):
-        return self.cov(field, mean, field, mean)
-
-
 def compute_pcqm_features(plan) -> PcqmFeatures:
     """Pooled f1..f8 of a PairPlan: the dist surface sampled at every
     ref point, compared with the reference's own fields."""
@@ -119,29 +97,40 @@ def pcqm_compare(corr_ref: Correspondence, corr_dist: Correspondence,
 
     neighbors: the radius-h self query of the reference points.
     """
-    seg = _Segments(neighbors, sigma=h / 3.0)
-    k1, k2, k3, k4, k5, k6, k7, k8 = (getattr(config, f"pcqm_k{i}")
-                                      for i in range(1, 9))
-
-    mu_rho_r = seg.mean(corr_ref.curvature)
-    mu_rho_d = seg.mean(corr_dist.curvature)
-    var_rho_r = seg.var(corr_ref.curvature, mu_rho_r)
-    var_rho_d = seg.var(corr_dist.curvature, mu_rho_d)
-    cov_rho = seg.cov(corr_ref.curvature, mu_rho_r,
-                      corr_dist.curvature, mu_rho_d)
-    mu_l_r = seg.mean(corr_ref.lightness)
-    mu_l_d = seg.mean(corr_dist.lightness)
-    var_l_r = seg.var(corr_ref.lightness, mu_l_r)
-    var_l_d = seg.var(corr_dist.lightness, mu_l_d)
-    cov_l = seg.cov(corr_ref.lightness, mu_l_r, corr_dist.lightness, mu_l_d)
-    mu_c_r = seg.mean(corr_ref.chroma)
-    mu_c_d = seg.mean(corr_dist.chroma)
-
     da = corr_ref.chroma_a - corr_dist.chroma_a
     db = corr_ref.chroma_b - corr_dist.chroma_b
     dc = corr_ref.chroma - corr_dist.chroma
     delta_h = np.sqrt(da * da + db * db + dc * dc)
-    mean_dh = seg.mean(delta_h)
+    fields = np.stack([corr_ref.curvature, corr_dist.curvature,
+                       corr_ref.lightness, corr_dist.lightness,
+                       corr_ref.chroma, corr_dist.chroma, delta_h])
+    per_row = [_block_features(block, fields, h / 3.0, config)
+               for _, block in neighbors.blocks()]
+    stacked = np.clip(np.concatenate(per_row, axis=1), 0.0, 1.0)
+    return PcqmFeatures(stacked.mean(axis=1))
+
+
+def _block_features(block, fields, sigma, config):
+    """(8, m) f1..f8 of the m rows of one block of the radius-h query."""
+    k1, k2, k3, k4, k5, k6, k7, k8 = (getattr(config, f"pcqm_k{i}")
+                                      for i in range(1, 9))
+    d = block.distances
+    w = np.exp(-(d * d) / (2.0 * sigma * sigma))
+    # every row holds at least its own center, as reduceat requires
+    starts = block.offsets[:-1]
+    w_sum = np.add.reduceat(w, starts)
+    near = np.take(fields, block.indices, axis=1)
+    means = np.add.reduceat(w * near, starts, axis=1) / w_sum
+    dev = near[:4] - np.repeat(means[:4], block.counts, axis=1)
+    del near
+    # (w * dx) * dy of the curvature deviations, ref and dist, then of the
+    # lightness ones: two variances and a covariance each
+    prod = dev[[0, 1, 0, 2, 3, 2]] * w
+    prod *= dev[[0, 1, 1, 2, 3, 3]]
+    del dev
+    var_rho_r, var_rho_d, cov_rho, var_l_r, var_l_d, cov_l = \
+        np.add.reduceat(prod, starts, axis=1) / w_sum
+    mu_rho_r, mu_rho_d, mu_l_r, mu_l_d, mu_c_r, mu_c_d, mean_dh = means
 
     sd_rho_r = np.sqrt(var_rho_r)
     sd_rho_d = np.sqrt(var_rho_d)
@@ -160,8 +149,7 @@ def pcqm_compare(corr_ref: Correspondence, corr_dist: Correspondence,
     f7 = 1.0 / (k7 * dcm * dcm + 1.0)
     f8 = 1.0 / (k8 * mean_dh * mean_dh + 1.0)
 
-    stacked = np.clip(np.stack([f1, f2, f3, f4, f5, f6, f7, f8]), 0.0, 1.0)
-    return PcqmFeatures(stacked.mean(axis=1))
+    return np.stack([f1, f2, f3, f4, f5, f6, f7, f8])
 
 
 def pcqm_aggregate(features: PcqmFeatures) -> float:

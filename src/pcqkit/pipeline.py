@@ -212,12 +212,13 @@ def _cache_read(cache_dir: str, key: str):
     try:
         with open(path) as stream:
             payload = json.load(stream)
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError):
         return None
-    if payload.get("schema_version") != _SCHEMA:
-        return None
-    values = payload.get("features")
-    if not isinstance(values, list) or len(values) != len(FEATURE_COLUMNS):
+    # anything but a feature record as _cache_write makes one is a miss
+    values = payload.get("features") if isinstance(payload, dict) else None
+    if not isinstance(values, list) or len(values) != len(FEATURE_COLUMNS) \
+            or payload.get("schema_version") != _SCHEMA \
+            or not all(type(v) is float for v in values):
         return None
     return np.asarray(values, dtype=np.float64)
 

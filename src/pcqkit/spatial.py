@@ -18,6 +18,10 @@ from .errors import EmptyCloud
 __all__ = ["Neighbors", "SpatialIndex", "build_index"]
 
 _BLOCK_ROWS = 4096   # query rows per tree call: bounds one block's pairs
+# neighbors per Neighbors.blocks block, each row counting as 4 more: a
+# quadric fit's temporaries take about 220 B a neighbor and 900 B a row,
+# so a block of fits stays near 60 MB and one of PCQM statistics below
+_BLOCK_BUDGET = 2 ** 18
 
 
 def _distances(positions, query):
@@ -52,6 +56,20 @@ class Neighbors:
             raise IndexError(f"row {i} out of range for {len(self)} rows")
         lo, hi = self.offsets[i], self.offsets[i + 1]
         return self.indices[lo:hi], self.distances[lo:hi]
+
+    def blocks(self):
+        """(start, Neighbors) for consecutive runs of whole rows from row
+        start, offsets rebased to 0, each within _BLOCK_BUDGET; a row
+        over it is a block by itself."""
+        cost = self.offsets + 4 * np.arange(len(self) + 1)
+        start = 0
+        while start < len(self):
+            stop = max(start + 1, int(np.searchsorted(
+                cost, cost[start] + _BLOCK_BUDGET, side="right")) - 1)
+            lo, hi = self.offsets[start], self.offsets[stop]
+            yield start, Neighbors(self.indices[lo:hi], self.distances[lo:hi],
+                                   self.offsets[start:stop + 1] - lo)
+            start = stop
 
 
 class SpatialIndex:

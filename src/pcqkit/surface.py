@@ -7,7 +7,7 @@ second fundamental form. Neighborhoods with fewer than 6 points fall back
 to the PCA plane normal (curvature 0); collinear or coincident ones are
 degenerate and get the +z normal. Everything is batched: neighborhoods
 arrive in the flat layout of spatial.Neighbors and are reduced
-segment-wise, a bounded number of neighbor rows per chunk, so clouds of
+segment-wise over its bounded row blocks (Neighbors.blocks), so clouds of
 1e5+ points stay fast without leaving numpy.
 
 The covariance and normal equations come from feature-major rows of only
@@ -23,10 +23,6 @@ import numpy as np
 from .cloud import PointCloud, bounding_box
 
 _MIN_QUADRIC_POINTS = 6
-# a chunk's temporaries take about 220 B per neighbor row and 900 B per
-# center: counting a center as _CENTER_ROWS rows, one stays near 60 MB
-_ROWS_PER_CHUNK = 2 ** 18
-_CENTER_ROWS = 4
 # rows of the sums of d_i * d_j, i <= j, that make the 3 x 3 covariance
 _COV = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
 # Quadric term rows: 0-2 the local x, y, z, then products of two earlier
@@ -66,31 +62,23 @@ def fit_local_surfaces(points, neighbors, centers) -> SurfaceFit:
     curvatures = np.zeros(m)
     plane_fallback = np.zeros(m, dtype=bool)
     degenerate = neighbors.counts == 0
-
-    # chunks of whole rows costing at most _ROWS_PER_CHUNK neighbor rows
-    # (see there); a bigger row gets a chunk of its own
-    cost = neighbors.offsets + _CENTER_ROWS * np.arange(m + 1)
-    start = 0
-    while start < m:
-        stop = int(np.searchsorted(cost, cost[start] + _ROWS_PER_CHUNK,
-                                   side="right")) - 1
-        stop = max(stop, start + 1)
-        _fit_chunk(points, neighbors, centers, start, stop,
-                   normals, curvatures, plane_fallback, degenerate)
-        start = stop
+    for start, block in neighbors.blocks():
+        rows = slice(start, start + len(block))
+        _fit_chunk(points, block, centers[rows], normals[rows],
+                   curvatures[rows], plane_fallback[rows], degenerate[rows])
     return SurfaceFit(normals, curvatures, plane_fallback, degenerate)
 
 
-def _fit_chunk(points, neighbors, centers, start, stop,
-               normals, curvatures, plane_fallback, degenerate):
-    offsets = neighbors.offsets
-    sel = start + np.flatnonzero(np.diff(offsets[start:stop + 1]))
+def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
+               degenerate):
+    counts = block.counts
+    sel = np.flatnonzero(counts)
     if len(sel) == 0:
         return
-    seg_counts = offsets[sel + 1] - offsets[sel]
+    seg_counts = counts[sel]
     # reduceat needs non-empty segments: they start at the non-empty rows
-    seg_starts = offsets[sel] - offsets[start]
-    flat = neighbors.indices[offsets[start]:offsets[stop]]
+    seg_starts = block.offsets[sel]
+    flat = block.indices
     ctr_row = np.repeat(np.arange(len(sel)), seg_counts)
 
     d = np.take(points, flat, axis=0)
@@ -98,7 +86,7 @@ def _fit_chunk(points, neighbors, centers, start, stop,
     d -= mean[ctr_row]
 
     # neighborhood covariance and PCA frame; each stage frees its per-row
-    # arrays before the next allocates, which the chunk budget counts on
+    # arrays before the next allocates, which the block budget counts on
     prod = np.empty((6, len(flat)))
     for row, (i, j) in enumerate(zip(*np.triu_indices(3))):
         np.multiply(d[:, i], d[:, j], out=prod[row])

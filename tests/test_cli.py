@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pcqkit.cloud import PointCloud
+from pcqkit.evaluation import evaluate
 from pcqkit.io_ply import save_ply
 from pcqkit.pipeline import (FEATURE_COLUMNS, FeatureTable, ManifestRow,
                              write_features_csv)
@@ -409,6 +410,27 @@ def test_evaluate_refuses_a_short_score_row(tmp_path):
                            "--manifest", str(manifest))
     assert _refused(code, err), err
     assert "row 4: expected 4 fields, got 3" in err
+
+
+def test_evaluate_writes_the_report_as_every_command_writes_json(tmp_path):
+    mos = [4.6, 4.1, 3.9, 3.2, 3.0, 2.6, 1.9, 1.4]
+    score = [0.91, 0.85, 0.86, 0.6, 0.55, 0.41, 0.2, 0.12]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("group_id,ref_path,dist_path,mos,mos_std\n" + "".join(
+        f"g0,r.ply,d{i}.ply,{v},0.3\n" for i, v in enumerate(mos)))
+    scores = tmp_path / "scores.csv"
+    scores.write_text("# schema_version=1 model=m config_hash=abc\n"
+                      "group_id,ref_path,dist_path,score\n" + "".join(
+                          f"g0,r.ply,d{i}.ply,{v}\n"
+                          for i, v in enumerate(score)))
+    out = tmp_path / "report.json"
+    code, _, err = run_cli("evaluate", "--scores", str(scores), "--manifest",
+                           str(manifest), "--out", str(out))
+    assert code == 0, err
+    report = evaluate([("m", np.array(score))], np.array(mos),
+                      np.full(len(mos), 0.3))
+    assert out.read_text() == json.dumps(report.as_dict(), indent=2,
+                                         sort_keys=True) + "\n"
 
 
 @pytest.fixture(scope="module")

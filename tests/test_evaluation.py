@@ -182,7 +182,7 @@ def test_evaluate_normalizes_and_reports():
     assert noisy_report.pcc < good.pcc + 1e-12
     assert not good.or_fallback
 
-    payload = json.loads(report.to_json())
+    payload = json.loads(json.dumps(report.as_dict()))
     assert [m["name"] for m in payload["metrics"]] == ["good", "noisy"]
     table = report.table()
     assert "PCC" in table and "good" in table

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pcqkit import spatial
 from pcqkit.config import Config
 from pcqkit.metrics.pcqm import (DEFAULT_AGGREGATE_WEIGHTS, Correspondence,
                                  compute_pcqm_features, pcqm_aggregate,
@@ -92,3 +95,39 @@ def test_dist_radius_query_is_not_kept():
     assert "corr" in vars(plan)
     assert not any(isinstance(value, Neighbors)
                    for value in vars(plan).values())
+
+
+def test_blocks_of_a_few_rows_equal_the_whole_run_bit_for_bit(monkeypatch):
+    ref = surface_cloud(900, seed=10)
+    plan = PairPlan.build(ref, jitter(ref, 2.0, seed=11, color_sigma=12.0))
+    reference = plan.reference
+    args = (reference.corr, plan.corr, reference.pcqm_neighbors,
+            reference.pcqm_radius, plan.config)
+    assert len(list(reference.pcqm_neighbors.blocks())) == 1
+    whole = pcqm_compare(*args).values
+    monkeypatch.setattr(spatial, "_BLOCK_BUDGET", 60)
+    assert len(list(reference.pcqm_neighbors.blocks())) > 100
+    assert np.array_equal(pcqm_compare(*args).values, whole)
+
+
+@pytest.mark.parametrize("k", [16, 64])
+def test_compare_holds_a_bounded_working_set(k):
+    # 2^21 neighbour rows made directly, without a radius query; statistics
+    # over the whole query at once peaked near 41 B a neighbour row more
+    rng = np.random.default_rng(15)
+    m = 2 ** 21 // k
+    ref, dist = (Correspondence(*rng.uniform(0.0, 50.0, size=(5, m)), 0, 0)
+                 for _ in range(2))
+    neighbors = Neighbors(rng.integers(0, m, size=m * k),
+                          rng.uniform(0.0, 1.0, size=m * k),
+                          np.arange(0, m * k + 1, k))
+    tracemalloc.start()
+    try:
+        pcqm_compare(ref, dist, neighbors, 1.0, Config())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block's temporaries (about 140 B a neighbour row, see
+    # spatial._BLOCK_BUDGET) with a fifth to spare, plus the (m,) fields,
+    # per-row features and their pooling
+    assert peak < 45e6 + 300 * m, f"peak {peak / 1e6:.0f} MB"

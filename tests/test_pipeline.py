@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import os
 from dataclasses import replace
@@ -129,6 +130,24 @@ def test_cache_invalidates_on_file_change(tmp_path):
     save_ply(surface_cloud(400, seed=77), rows[0].dist_file)
     _, stats = extract_features(rows, serial)
     assert stats["n_computed"] == 1 and stats["n_cached"] == 1
+
+
+def test_a_cache_entry_that_is_no_feature_record_is_recomputed(tmp_path):
+    rows = load_manifest(_write_corpus(tmp_path, n_groups=1))
+    cache = tmp_path / "cache"
+    serial = Config(pipeline_jobs=1, pipeline_cache_dir=str(cache))
+    table, _ = extract_features(rows, serial)
+    entry = sorted(cache.iterdir())[0]
+    record = json.loads(entry.read_text())
+    foreign = [b"[1.0, 2.0]", b'"features"', b"\xff\xfe not text"]
+    for bad in ("x", True, 10 ** 400):
+        foreign.append(json.dumps({**record, "features": [bad] * 23}).encode())
+    for content in foreign:
+        entry.write_bytes(content)
+        again, stats = extract_features(rows, serial)
+        assert stats["n_computed"] == 1 and stats["n_cached"] == 1, content
+        assert np.array_equal(again.values, table.values)
+        assert json.loads(entry.read_text()) == record
 
 
 def test_features_csv_round_trip_is_bit_exact(tmp_path):

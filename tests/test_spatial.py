@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from pcqkit import spatial
 from pcqkit.cloud import PointCloud, bounding_box
 from pcqkit.config import Config
-from pcqkit.spatial import build_index
+from pcqkit.spatial import Neighbors, build_index
 
 from conftest import surface_cloud
 
@@ -215,6 +215,39 @@ def test_radius_memory_is_bounded_by_result_and_one_block():
     assert held >= hoods.indices.nbytes + hoods.distances.nbytes
     block = spatial._BLOCK_ROWS * len(hoods.indices) / len(cloud) * 200
     assert peak < 2 * held + block, f"peak {peak / 1e6:.0f} MB"
+
+
+def test_blocks_cover_every_row_once_under_the_budget(monkeypatch):
+    # rows of 0 to 29 neighbours and one of 90 under a budget of 60, where
+    # a row costs its neighbours plus 4: the row of 90 is a block alone
+    rng = np.random.default_rng(14)
+    counts = rng.integers(0, 30, size=200)
+    counts[77] = 90
+    offsets = np.concatenate([[0], np.cumsum(counts)])
+    hoods = Neighbors(rng.permutation(offsets[-1]),
+                      rng.uniform(size=offsets[-1]), offsets)
+    monkeypatch.setattr(spatial, "_BLOCK_BUDGET", 60)
+    blocks = list(hoods.blocks())
+    starts = [start for start, _ in blocks]
+    sizes = [len(block) for _, block in blocks]
+    assert starts == list(np.cumsum([0] + sizes[:-1]))
+    assert sum(sizes) == len(hoods)
+    costs = [len(block.indices) + 4 * len(block) for _, block in blocks]
+    for (start, block), cost in zip(blocks, costs):
+        assert block.offsets[0] == 0
+        lo, hi = hoods.offsets[start], hoods.offsets[start + len(block)]
+        assert np.array_equal(block.indices, hoods.indices[lo:hi])
+        assert np.array_equal(block.distances, hoods.distances[lo:hi])
+        assert np.array_equal(block.offsets, hoods.offsets[
+            start:start + len(block) + 1] - lo)
+        assert cost <= 60 or len(block) == 1
+    # each block ends only where the next row would overrun the budget
+    for cost, start in zip(costs, starts[1:]):
+        assert cost + counts[start] + 4 > 60
+    assert (77, 1) in zip(starts, sizes)
+    empty = Neighbors(np.empty(0, np.int64), np.empty(0),
+                      np.zeros(1, np.int64))
+    assert list(empty.blocks()) == []
 
 
 def test_one_large_ask_does_not_widen_a_block():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pcqkit import surface
+from pcqkit import spatial
 from pcqkit.cloud import PointCloud
 from pcqkit.spatial import Neighbors, build_index
 from pcqkit.surface import SurfaceFit, estimate_normals, fit_local_surfaces
@@ -89,7 +89,7 @@ def test_chunking_does_not_change_fits(monkeypatch):
     assert (neighbors.counts == 0).any()
     assert neighbors.counts.max() > 7
     whole = fit_local_surfaces(pts, neighbors, centers)
-    monkeypatch.setattr(surface, "_ROWS_PER_CHUNK", 7)
+    monkeypatch.setattr(spatial, "_BLOCK_BUDGET", 7)
     chunked = fit_local_surfaces(pts, neighbors, centers)
     for name in ("normals", "curvatures", "plane_fallback", "degenerate"):
         assert np.array_equal(getattr(whole, name), getattr(chunked, name))
@@ -208,12 +208,12 @@ FIT_CASES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [surface._ROWS_PER_CHUNK, 60])
+@pytest.mark.parametrize("chunk", [spatial._BLOCK_BUDGET, 60])
 @pytest.mark.parametrize("case", list(FIT_CASES))
 def test_feature_major_equals_row_major_kernel(case, chunk, monkeypatch):
     points, neighbors, centers = FIT_CASES[case]()
     want = row_major_fit(points, neighbors, centers)
-    monkeypatch.setattr(surface, "_ROWS_PER_CHUNK", chunk)
+    monkeypatch.setattr(spatial, "_BLOCK_BUDGET", chunk)
     got = fit_local_surfaces(points, neighbors, centers)
     for name in ("normals", "curvatures", "plane_fallback", "degenerate"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -248,7 +248,7 @@ def test_a_chunk_holds_a_bounded_working_set(k):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one chunk's temporaries (about 60 MB, see surface._ROWS_PER_CHUNK)
+    # one block's temporaries (about 60 MB, see spatial._BLOCK_BUDGET)
     # with a third to spare, plus the (m,) outputs and cost array
     assert peak < 80e6 + 64 * m
 
