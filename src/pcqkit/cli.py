@@ -25,8 +25,9 @@ from .errors import ConfigMismatch, PcqkitError
 from .evaluation import evaluate
 from .io_ply import load_ply
 from .pipeline import (METRIC_FAMILIES, FeatureTable, PairPlan,
-                       compute_pair_metrics, extract_features, join_scores,
-                       load_manifest, read_features_csv, read_scores_csv,
+                       ReferenceContext, compute_pair_metrics,
+                       extract_features, join_scores, load_manifest,
+                       read_features_csv, read_scores_csv,
                        write_features_csv, write_scores_csv)
 from .regression import (MODEL_ALIASES, MODEL_REGISTRY, FusionModel,
                          group_kfold, make_model, rfe_rank)
@@ -100,9 +101,7 @@ def _cmd_info(args):
         "n_points": len(cloud),
         "has_colors": cloud.has_colors,
         "has_normals": cloud.has_normals,
-        "bit_depth": (config.cloud_bit_depth
-                      if config.cloud_bit_depth is not None
-                      else cloud.effective_bit_depth()),
+        "bit_depth": ReferenceContext.build(cloud, config).bit_depth,
         "bbox_min": box.minimum.tolist(),
         "bbox_max": box.maximum.tolist(),
         "bbox_diagonal": box.diagonal,
@@ -273,14 +272,14 @@ def _build_parser() -> _Parser:
     p = add("train", _cmd_train, "fit a fusion model on a feature table")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, choices=models)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_from(0))
     p.set_defaults(out_required=True)
 
     p = add("rfe", _cmd_rfe, "rank features by recursive elimination")
     p.add_argument("--features", required=True)
     p.add_argument("--estimator", choices=("ridge", "svr"), default="ridge")
     p.add_argument("--step", type=_int_from(1), default=1)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_from(0))
 
     p = add("predict", _cmd_predict, "apply a fusion model")
     p.add_argument("--model", required=True)
@@ -298,7 +297,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, choices=models)
     p.add_argument("--folds", type=_int_from(2), default=10)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_int_from(0))
 
     return parser
 

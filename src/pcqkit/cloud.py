@@ -90,10 +90,6 @@ class PointCloud:
                     inferred)
         return inferred
 
-    def geometry_peak(self) -> float:
-        """Peak geometry value 2**bit_depth - 1 used by PSNR metrics."""
-        return float(2 ** self.effective_bit_depth() - 1)
-
 
 def infer_bit_depth(positions) -> int:
     """Smallest b with all coordinates inside [0, 2**b - 1], at least 1."""

@@ -36,6 +36,7 @@ def _one_of(*allowed):
 _AT_LEAST_0 = (lambda v: v >= 0), "0 or more"
 _ABOVE_0 = (lambda v: v > 0), "more than 0"
 _COUNT = (lambda v: type(v) is int and v >= 1), "an integer, 1 or more"
+_NATURAL = (lambda v: type(v) is int and v >= 0), "an integer, 0 or more"
 
 # field -> (test, what is legal); NaN fails every range test
 _LEGAL = {
@@ -46,7 +47,7 @@ _LEGAL = {
     "cloud_bit_depth": ((lambda v: v is None or (type(v) is int
                                                  and 1 <= v <= 32)),
                         "none or an integer from 1 to 32"),
-    "pipeline_jobs": _AT_LEAST_0,
+    "pipeline_jobs": _NATURAL, "pipeline_seed": _NATURAL,
     "graphsim_n_scales": ((lambda v: v >= 3), "3 or more"),
     "graphsim_keypoint_fraction": ((lambda v: 0 < v <= 1),
                                    "a value in (0, 1]"),

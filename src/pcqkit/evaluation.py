@@ -50,17 +50,9 @@ def pearson(x, y) -> float:
 
 def _rank_average(x) -> np.ndarray:
     """Ranks starting at 1, ties sharing their average rank."""
-    x = np.asarray(x, dtype=np.float64)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(np.asarray(x, dtype=np.float64),
+                                   return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def spearman(x, y) -> float:

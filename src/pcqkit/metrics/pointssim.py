@@ -98,7 +98,10 @@ def pointssim_pool(ref_values, dist_values, nearest,
 def pointssim_score(plan, attribute: str) -> float:
     """Pooled dissimilarity of a PairPlan's dist against its ref for one
     attribute ("luminance" or "geometry")."""
-    return pointssim_pool(plan.reference.fields[attribute],
-                          plan.distorted.fields[attribute],
+    if attribute not in _ATTRIBUTES:
+        raise ValueError(f"unknown attribute {attribute!r}")
+    field = f"{attribute}_dispersion"
+    return pointssim_pool(getattr(plan.reference, field),
+                          getattr(plan.distorted, field),
                           plan.nearest_forward[0],
                           plan.config.pointssim_pooling_exponent)

@@ -3,10 +3,10 @@
 All three follow the symmetric two-pass scheme: an error is accumulated
 from the distorted cloud against nearest neighbors in the reference,
 then again with the roles swapped, and the worse (larger) MSE is kept.
-Geometry PSNR uses 10*log10(3*peak^2 / MSE) with peak = 2^bitdepth - 1;
-color channels use peak 255 and the 6:1:1 luma-weighted combination
-(6*Y + Cb + Cr) / 8. Each entry point reads the two nearest-neighbor
-queries and the settings from a PairPlan.
+Geometry PSNR uses 10*log10(3*peak^2 / MSE) with peak = 2^b - 1, b the
+reference context's bit_depth; color channels use peak 255 and the 6:1:1
+luma-weighted combination (6*Y + Cb + Cr) / 8. Each entry point reads
+the two nearest-neighbor queries and the settings from a PairPlan.
 """
 
 import math
@@ -44,7 +44,7 @@ def _psnr_db(mse: float, peak: float, k: float) -> float:
 def compute_d1(plan) -> PsnrResult:
     """Point-to-point geometry PSNR (squared Euclidean NN error) of a
     PairPlan."""
-    peak = float(plan.ref.geometry_peak())
+    peak = float(2 ** plan.reference.bit_depth - 1)
     (_, d_fwd), (_, d_bwd) = plan.nearest_forward, plan.nearest_backward
     mse_f = float(np.mean(d_fwd * d_fwd))
     mse_b = float(np.mean(d_bwd * d_bwd))
@@ -68,7 +68,7 @@ def compute_d2(plan) -> PsnrResult:
     side that lacks them.
     """
     ref, dist = plan.reference.with_normals, plan.distorted.with_normals
-    peak = float(ref.geometry_peak())
+    peak = float(2 ** plan.reference.bit_depth - 1)
     mse_f = _projected_mse(dist, ref, plan.nearest_forward[0])
     mse_b = _projected_mse(ref, dist, plan.nearest_backward[0])
     mse = max(mse_f, mse_b)

@@ -407,100 +407,94 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _meta_line(**fields) -> str:
-    parts = " ".join(f"{k}={v}" for k, v in fields.items())
-    return f"# {parts}\n"
-
-
-def _read_meta(line: str, path: str) -> dict:
-    if not line.startswith("#"):
-        raise SchemaMismatch(f"{path!r} lacks the schema header line")
-    meta = {}
-    for token in line[1:].split():
-        if "=" in token:
-            key, value = token.split("=", 1)
-            meta[key] = value
-    if meta.get("schema_version") != str(_SCHEMA):
-        raise SchemaMismatch(
-            f"{path!r} has schema_version={meta.get('schema_version')!r}, "
-            f"expected {_SCHEMA}")
-    return meta
-
-
-def write_features_csv(table: FeatureTable, path: str):
+def _write_table(path: str, header, records, **meta):
+    """Write a table file: the schema line (schema_version, then meta in
+    order), the header and the records."""
     with open(path, "w", newline="") as stream:
-        stream.write(_meta_line(schema_version=_SCHEMA,
-                                config_hash=table.config_hash))
+        stream.write(" ".join(["#", f"schema_version={_SCHEMA}", *(
+            f"{k}={v}" for k, v in meta.items())]) + "\n")
         writer = csv.writer(stream)
-        writer.writerow(list(_ROW_FIELDS) + list(table.feature_names))
-        for row, vec in zip(table.rows, table.values):
-            writer.writerow([row.group_id, row.ref_path, row.dist_path,
-                             _fmt(row.mos), _fmt(row.mos_std),
-                             row.codec, row.rate]
-                            + [_fmt(v) for v in vec])
+        writer.writerow(header)
+        writer.writerows(records)
 
 
-def read_features_csv(path: str) -> FeatureTable:
-    base = os.path.dirname(os.path.abspath(path))
+def _read_table(path: str, fixed, convert):
+    """(meta, value names, [convert(line, fixed cells, value cells)]) of a
+    table whose header starts with the columns fixed; each record but an
+    empty one has the header's width and is converted as it is read."""
     with open(path, newline="") as stream:
-        meta = _read_meta(stream.readline(), path)
+        schema = stream.readline()
+        if not schema.startswith("#"):
+            raise SchemaMismatch(f"{path!r} lacks the schema header line")
+        meta = dict(token.split("=", 1) for token in schema[1:].split()
+                    if "=" in token)
+        if meta.get("schema_version") != str(_SCHEMA):
+            raise SchemaMismatch(
+                f"{path!r} has schema_version="
+                f"{meta.get('schema_version')!r}, expected {_SCHEMA}")
         reader = csv.reader(stream)
         header = next(reader, None)
-        if header is None or header[:len(_ROW_FIELDS)] != list(_ROW_FIELDS):
+        if header is None or header[:len(fixed)] != list(fixed):
             raise SchemaMismatch(f"{path!r} has an unexpected column set")
-        names = tuple(header[len(_ROW_FIELDS):])
-        rows, values = [], []
+        records = []
         for record in reader:
             if not record:
                 continue
             line = reader.line_num + 1    # the schema line precedes the reader
-            fixed, feats = record[:len(_ROW_FIELDS)], record[len(_ROW_FIELDS):]
-            if len(feats) != len(names):
-                raise SchemaMismatch(
-                    f"{path!r} row {line}: expected {len(names)} feature "
-                    f"values, got {len(feats)}")
-            rows.append(_manifest_row(dict(zip(_ROW_FIELDS, fixed)), base,
-                                      line))
-            try:
-                values.append([float(v) for v in feats])
-            except ValueError as exc:
-                raise SchemaMismatch(f"{path!r} row {line}: {exc}") from None
-    return FeatureTable(rows, names, np.asarray(values, dtype=np.float64),
-                        meta.get("config_hash", ""))
-
-
-def write_scores_csv(rows, scores, path: str, model_name: str,
-                     config_hash: str):
-    with open(path, "w", newline="") as stream:
-        stream.write(_meta_line(schema_version=_SCHEMA, model=model_name,
-                                config_hash=config_hash))
-        writer = csv.writer(stream)
-        writer.writerow(["group_id", "ref_path", "dist_path", "score"])
-        for row, score in zip(rows, scores):
-            writer.writerow([row.group_id, row.ref_path, row.dist_path,
-                             _fmt(score)])
-
-
-def read_scores_csv(path: str):
-    """Returns (list of (group_id, ref_path, dist_path), scores, meta)."""
-    with open(path, newline="") as stream:
-        meta = _read_meta(stream.readline(), path)
-        reader = csv.reader(stream)
-        header = next(reader, None)
-        if header != ["group_id", "ref_path", "dist_path", "score"]:
-            raise SchemaMismatch(f"{path!r} has an unexpected column set")
-        keys, scores = [], []
-        for record in reader:
-            if not record:
-                continue
-            line = reader.line_num + 1
             if len(record) != len(header):
                 raise SchemaMismatch(f"{path!r} row {line}: expected "
                                      f"{len(header)} fields, got "
                                      f"{len(record)}")
-            keys.append((record[0], record[1], record[2]))
-            scores.append(_parse_float(record[3], "score", line))
-    return keys, np.asarray(scores, dtype=np.float64), meta
+            records.append(convert(line, record[:len(fixed)],
+                                   record[len(fixed):]))
+    return meta, tuple(header[len(fixed):]), records
+
+
+def write_features_csv(table: FeatureTable, path: str):
+    _write_table(path, _ROW_FIELDS + tuple(table.feature_names), (
+        [row.group_id, row.ref_path, row.dist_path, _fmt(row.mos),
+         _fmt(row.mos_std), row.codec, row.rate] + [_fmt(v) for v in vec]
+        for row, vec in zip(table.rows, table.values)),
+        config_hash=table.config_hash)
+
+
+def read_features_csv(path: str) -> FeatureTable:
+    base = os.path.dirname(os.path.abspath(path))
+
+    def parse(line, fixed, feats):
+        row = _manifest_row(dict(zip(_ROW_FIELDS, fixed)), base, line)
+        try:
+            return row, [float(v) for v in feats]
+        except ValueError as exc:
+            raise SchemaMismatch(f"{path!r} row {line}: {exc}") from None
+
+    meta, names, records = _read_table(path, _ROW_FIELDS, parse)
+    rows = [row for row, _ in records]
+    values = np.asarray([vec for _, vec in records], np.float64)
+    return FeatureTable(rows, names, values.reshape(len(rows), len(names)),
+                        meta.get("config_hash", ""))
+
+
+_SCORE_COLUMNS = ("group_id", "ref_path", "dist_path", "score")
+
+
+def write_scores_csv(rows, scores, path: str, model_name: str,
+                     config_hash: str):
+    _write_table(path, _SCORE_COLUMNS, (
+        [row.group_id, row.ref_path, row.dist_path, _fmt(score)]
+        for row, score in zip(rows, scores)),
+        model=model_name, config_hash=config_hash)
+
+
+def read_scores_csv(path: str):
+    """Returns (list of (group_id, ref_path, dist_path), scores, meta)."""
+    meta, names, records = _read_table(
+        path, _SCORE_COLUMNS, lambda line, cells, _: (
+            tuple(cells[:3]), _parse_float(cells[3], "score", line)))
+    if names:
+        raise SchemaMismatch(f"{path!r} has an unexpected column set")
+    scores = np.asarray([score for _, score in records], dtype=np.float64)
+    return [key for key, _ in records], scores, meta
 
 
 def join_scores(score_keys, manifest_rows):

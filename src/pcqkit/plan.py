@@ -1,7 +1,7 @@
 """Every neighbour query of a (reference, distorted) pair, made lazily.
 
-A ReferenceContext holds what depends on one cloud alone: its kd-tree,
-its self queries, normals, colours and PointSSIM fields. A PairPlan
+A ReferenceContext holds what depends on one cloud alone: its bit depth,
+kd-tree, self queries, normals, colours and PointSSIM fields. A PairPlan
 holds one context per cloud and adds the queries that cross them. A
 reference's context is the one its distortions share. Each field is a
 cached property, so a query runs at most once per pair, and only when a
@@ -20,7 +20,7 @@ its config:
         compute_d1(PairPlan.build(context, dist)).psnr_db
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
 
@@ -39,21 +39,6 @@ from .surface import estimate_normals
 __all__ = ["ReferenceContext", "PairPlan"]
 
 
-class _Fields(dict):
-    """PointSSIM fields of one cloud, each made when first read. It holds
-    no reference to its context, which holds it: a cycle would keep every
-    context alive until the cyclic garbage collector ran."""
-
-    def __init__(self, cloud, knn, config):
-        self.args = cloud, knn, config
-
-    def __missing__(self, attribute):
-        cloud, knn, config = self.args
-        field = self[attribute] = extract_dispersion(cloud, knn, attribute,
-                                                     config)
-        return field
-
-
 @dataclass(frozen=True, eq=False)
 class ReferenceContext:
     """Every result that depends on one cloud alone, each made once.
@@ -66,16 +51,20 @@ class ReferenceContext:
     (distance, index), so its first j columns equal a j-query.
     """
 
-    cloud: PointCloud        # at the configured bit depth
+    cloud: PointCloud
     config: Config
 
     @classmethod
     def build(cls, cloud: PointCloud, config: Config = None):
         """The context of cloud under config (default Config())."""
-        config = config or Config()
-        if config.cloud_bit_depth is not None:
-            cloud = replace(cloud, bit_depth=config.cloud_bit_depth)
-        return cls(cloud, config)
+        return cls(cloud, config or Config())
+
+    @cached_property
+    def bit_depth(self) -> int:
+        """config.cloud_bit_depth, else the cloud's declared bit depth,
+        else one inferred from it and logged once per context."""
+        depth = self.config.cloud_bit_depth
+        return self.cloud.effective_bit_depth() if depth is None else depth
 
     @cached_property
     def index(self):
@@ -108,10 +97,16 @@ class ReferenceContext:
                             self.config.psnr_ycbcr_matrix)
 
     @cached_property
-    def fields(self) -> dict:
-        """attribute -> (n,) PointSSIM dispersion values; geometry
-        needs no colours."""
-        return _Fields(self.cloud, self.knn, self.config)
+    def geometry_dispersion(self) -> np.ndarray:
+        """(n,) PointSSIM field of neighbour distances; needs no colours."""
+        return extract_dispersion(self.cloud, self.knn, "geometry",
+                                  self.config)
+
+    @cached_property
+    def luminance_dispersion(self) -> np.ndarray:
+        """(n,) PointSSIM field of luminance."""
+        return extract_dispersion(self.cloud, self.knn, "luminance",
+                                  self.config)
 
     @cached_property
     def lab_table(self) -> Optional[Lab2000HLTable]:

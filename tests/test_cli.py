@@ -313,6 +313,7 @@ def test_all_duplicated_reference_is_a_data_error(corpus, tmp_path):
 
 
 _INI = {"jobs.ini": "[pipeline]\njobs = -1\n",
+        "seed.ini": "[pipeline]\nseed = -1\n",
         "none.ini": "[pipeline]\njobs = none\n",
         "k.ini": "[pointssim]\nk = 0\n",
         "fraction.ini": "[graphsim]\nkeypoint_fraction = 0\n",
@@ -329,6 +330,9 @@ _INI = {"jobs.ini": "[pipeline]\njobs = -1\n",
     (("crossval", "--model", "fsm", "--folds", "0"), 1, "--folds"),
     (("crossval", "--model", "fsm", "--folds", "-2"), 1, "--folds"),
     (("crossval", "--model", "fsm", "--folds", "1"), 1, "--folds"),
+    (("crossval", "--model", "fsm", "--seed", "-1"), 1, "--seed"),
+    (("crossval", "--model", "fsm", "--config", "seed.ini"), 2,
+     "pipeline_seed"),
     (("metric", "--config", "k.ini"), 2, "pointssim_k"),
     (("metric", "--config", "fraction.ini"), 2,
      "graphsim_keypoint_fraction"),
@@ -339,8 +343,9 @@ _INI = {"jobs.ini": "[pipeline]\njobs = -1\n",
     (("extract", "--config", "k.ini", "--jobs", "2", "--cache", "cache"), 2,
      "pointssim_k")],
     ids=["jobs", "ini-jobs", "ini-jobs-none", "step", "folds-0", "folds-neg",
-         "folds-1", "ini-k", "ini-keypoint-fraction", "ini-pcqm-radius",
-         "ini-normal-radius", "ini-graph-radius", "ini-k-pool-cache"])
+         "folds-1", "seed-neg", "ini-seed-neg", "ini-k",
+         "ini-keypoint-fraction", "ini-pcqm-radius", "ini-normal-radius",
+         "ini-graph-radius", "ini-k-pool-cache"])
 def test_out_of_range_counts_are_refused(corpus, tmp_path, argv, code,
                                          named):
     for name, text in _INI.items():
@@ -382,6 +387,23 @@ def test_predict_refuses_unknown_model_file(tmp_path, key, value, message):
 
 def _refused(code, err):
     return code == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_feature_table_without_rows_is_refused(tmp_path):
+    features = _random_features(tmp_path / "features.csv")
+    model = tmp_path / "model.json"
+    code, _, err = run_cli("train", "--features", str(features), "--model",
+                           "fsm", "--out", str(model))
+    assert code == 0, err
+    header = features.read_text().splitlines()[:2]
+    features.write_text("\n".join(header) + "\n")
+    for argv in (("train", "--model", "fsm"), ("rfe",),
+                 ("predict", "--model", str(model))):
+        code, _, err = run_cli(*argv, "--features", str(features),
+                               "--out", str(tmp_path / "out"))
+        assert _refused(code, err), err
+        assert "X: needs at least one row" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("cell", ["abc", ""], ids=["text", "empty"])

@@ -6,6 +6,7 @@ from pcqkit.errors import (CountMismatch, EmptyCloud, InvalidCloud,
                            MalformedHeader, MissingAttribute,
                            UnsupportedFormat)
 from pcqkit.io_ply import load_ply, save_ply
+from pcqkit.plan import ReferenceContext
 
 from conftest import random_cloud
 
@@ -16,7 +17,7 @@ def test_bit_depth_inference():
     assert infer_bit_depth(np.zeros((2, 3))) == 1
     cloud = PointCloud(np.array([[0., 0., 0.], [255., 255., 255.]]))
     assert cloud.effective_bit_depth() == 8
-    assert cloud.geometry_peak() == 255.0
+    assert ReferenceContext.build(cloud).bit_depth == 8
 
 
 def test_positions_validation():

@@ -147,6 +147,10 @@ def test_default_hash_is_pinned():
 # field, a refused value at or next to the boundary, a legal boundary value
 _RANGES = [
     ("pipeline_jobs", -1, 0),
+    ("pipeline_jobs", 2.5, 2),
+    ("pipeline_jobs", True, 1),
+    ("pipeline_seed", -1, 0),
+    ("pipeline_seed", 1.5, 1),
     ("graphsim_n_scales", 2, 3),
     ("graphsim_keypoint_fraction", 0.0, 1.0),
     ("graphsim_keypoint_fraction", 1.0000001, 1e-9),

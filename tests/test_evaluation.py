@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
 from pcqkit.errors import DegenerateInput
-from pcqkit.evaluation import (error_stats, evaluate, fit_logistic, logistic,
-                               pearson, spearman)
+from pcqkit.evaluation import (_rank_average, error_stats, evaluate,
+                               fit_logistic, logistic, pearson, spearman)
 
 
 # ---------------------------------------------------------------------------
@@ -26,6 +27,10 @@ def test_spearman_hand_value_and_ties():
     # tied inputs share the average rank: x ranks 1.5, 1.5, 3
     assert spearman([5, 5, 9], [1, 2, 3]) == pytest.approx(
         np.sqrt(3.0) / 2.0, abs=1e-12)
+    # heavy ties, -0.0 among them: the average ranks are exact
+    x = np.random.default_rng(2).integers(-4, 5, 500) * 0.25
+    x[::7] = -0.0
+    assert np.array_equal(_rank_average(x), rankdata(x, method="average"))
 
 
 def test_correlation_degenerate_input():

@@ -310,8 +310,8 @@ def test_each_query_runs_once_per_pair(monkeypatch):
     reference = ReferenceContext.build(ref)
     # the reference side: its kd-tree, one self k-NN and three radius
     # queries (normals, PCQM h, GraphSIM keypoints), each made once
-    fields = ("index", "knn", "with_normals", "ycc", "fields",
-              "pcqm_neighbors", "corr", "graphsim")
+    fields = ("index", "knn", "with_normals", "ycc", "geometry_dispersion",
+              "luminance_dispersion", "pcqm_neighbors", "corr", "graphsim")
     assert count(lambda: [getattr(reference, f) for f in fields]) == (1, 1, 3)
     assert count(lambda: [getattr(reference, f) for f in fields]) == (0, 0, 0)
     # the dist side: its kd-tree, two nearest queries, one self k-NN and

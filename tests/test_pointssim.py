@@ -89,7 +89,7 @@ def test_dist_context_shares_the_config_and_a_wider_knn():
     config = Config(pointssim_k=4, graphsim_k=10, cloud_bit_depth=12)
     plan = PairPlan.build(ref, dist, config)
     assert plan.distorted.config is plan.config
-    assert plan.dist.bit_depth == 12
+    assert plan.distorted.bit_depth == 12
     # the dist context's one self k-NN has graphsim_k + 1 = 11 columns;
     # PointSSIM reads its first 4, which equal a separate 4-query
     assert plan.distorted.knn[0].shape[1] == 11
@@ -97,7 +97,7 @@ def test_dist_context_shares_the_config_and_a_wider_knn():
     knn4 = build_index(cloud).knn_batch(cloud.positions, 4)
     for attribute in ("luminance", "geometry"):
         expected = pointssim_pool(
-            plan.reference.fields[attribute],
+            getattr(plan.reference, f"{attribute}_dispersion"),
             extract_dispersion(cloud, knn4, attribute, config),
             plan.nearest_forward[0], config.pointssim_pooling_exponent)
         assert pointssim_score(plan, attribute) == expected
