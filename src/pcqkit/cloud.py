@@ -77,10 +77,6 @@ class PointCloud:
             raise MissingAttribute(f"{context} requires per-point colors")
         return self.colors
 
-    def with_normals(self, normals) -> "PointCloud":
-        """Return a copy of this cloud carrying the given normals."""
-        return PointCloud(self.positions, self.colors, normals, self.bit_depth)
-
     def effective_bit_depth(self) -> int:
         """Declared bit depth, or one inferred from the coordinate range."""
         if self.bit_depth is not None:

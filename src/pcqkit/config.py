@@ -48,7 +48,9 @@ _LEGAL = {
                                                  and 1 <= v <= 32)),
                         "none or an integer from 1 to 32"),
     "pipeline_jobs": _NATURAL, "pipeline_seed": _NATURAL,
-    "graphsim_n_scales": ((lambda v: v >= 3), "3 or more"),
+    "graphsim_n_scales": ((lambda v: type(v) is int and v >= 3),
+                          "an integer, 3 or more"),
+    "graphsim_smoothing": ((lambda v: type(v) is bool), "true or false"),
     "graphsim_keypoint_fraction": ((lambda v: 0 < v <= 1),
                                    "a value in (0, 1]"),
     "pointssim_k": _COUNT, "graphsim_k": _COUNT,
@@ -97,6 +99,14 @@ class Config:
     pipeline_seed: int = 0
 
     def __post_init__(self):
+        # an int or numpy float would hash apart from the equal float
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.type is float and type(value) is bool:
+                raise ConfigMismatch(
+                    f"{f.name}: expected a number, got {value!r}")
+            if f.type is float and isinstance(value, (int, float)):
+                object.__setattr__(self, f.name, float(value))
         for name, (test, what) in _LEGAL.items():
             value = getattr(self, name)
             if not test(value):

@@ -101,21 +101,14 @@ def _vertex_dtype(element):
     return np.dtype(fields)
 
 
-def _column(records, element, wanted):
-    for i, (name, _) in enumerate(element.properties):
-        if name == wanted:
-            return records[f"p{i}"].astype(np.float64)
-    return None
-
-
-def _triplet(records, element, names, what):
-    cols = [_column(records, element, n) for n in names]
-    present = [c is not None for c in cols]
+def _triplet(by_name, names, what):
+    present = [name in by_name for name in names]
     if not any(present):
         return None
     if not all(present):
         raise MalformedHeader(f"incomplete {what} triplet in vertex element")
-    return np.column_stack(cols)
+    return np.column_stack([by_name[name].astype(np.float64)
+                            for name in names])
 
 
 def load_ply(path) -> PointCloud:
@@ -156,6 +149,7 @@ def load_ply(path) -> PointCloud:
 
         n = vertex.count
         n_props = len(vertex.properties)
+        # columns[i] holds the values of vertex.properties[i]
         if fmt == b"ascii":
             tokens = stream.read().split()
             needed = n * n_props
@@ -166,8 +160,7 @@ def load_ply(path) -> PointCloud:
                 flat = np.array(tokens[:needed], dtype=np.float64)
             except ValueError as exc:
                 raise MalformedHeader(f"non-numeric vertex value: {exc}") from exc
-            table = flat.reshape(n, n_props)
-            records = {f"p{i}": table[:, i] for i in range(n_props)}
+            columns = flat.reshape(n, n_props).T
         else:
             dtype = _vertex_dtype(vertex)
             raw = stream.read(n * dtype.itemsize)
@@ -176,18 +169,18 @@ def load_ply(path) -> PointCloud:
                     f"expected {n * dtype.itemsize} vertex bytes, "
                     f"found {len(raw)}")
             records = np.frombuffer(raw, dtype=dtype, count=n)
+            columns = [records[f"p{i}"] for i in range(n_props)]
 
-        positions = _triplet(records, vertex, (b"x", b"y", b"z"), "position")
+        # the first property of a name wins
+        by_name = {}
+        for (name, _), column in zip(vertex.properties, columns):
+            by_name.setdefault(name, column)
+        positions = _triplet(by_name, (b"x", b"y", b"z"), "position")
         if positions is None:
             raise MalformedHeader("vertex element lacks x/y/z properties")
-        colors = _triplet(records, vertex, _COLOR_PROPS, "color")
-        normals = _triplet(records, vertex, _NORMAL_PROPS, "normal")
+        colors = _triplet(by_name, _COLOR_PROPS, "color")
+        normals = _triplet(by_name, _NORMAL_PROPS, "normal")
     return PointCloud(positions, colors, normals)
-
-
-def _format_ascii(value: float) -> str:
-    # repr gives the shortest string that round-trips to the same double
-    return repr(float(value))
 
 
 def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
@@ -196,50 +189,39 @@ def save_ply(cloud: PointCloud, path, binary: bool = False) -> None:
     Colors are written as uchar when byte-valued, else as double so that
     synthetic non-integral colors survive a round trip too.
     """
+    double = (b"double", "<f8")
     colors = cloud.colors
-    color_as_byte = colors is not None and np.array_equal(
-        colors, np.rint(colors))
-    columns = [(b"x", "<f8"), (b"y", "<f8"), (b"z", "<f8")]
-    arrays = [cloud.positions[:, i] for i in range(3)]
-    if colors is not None:
-        ctype = "u1" if color_as_byte else "<f8"
-        for i, name in enumerate(_COLOR_PROPS):
-            columns.append((name, ctype))
-            arrays.append(colors[:, i])
-    if cloud.normals is not None:
-        for i, name in enumerate(_NORMAL_PROPS):
-            columns.append((name, "<f8"))
-            arrays.append(cloud.normals[:, i])
+    byte_colors = colors is not None and np.array_equal(colors, np.rint(colors))
+    columns = []  # (name, PLY type, numpy type, values)
+    for names, values, types in (
+            ((b"x", b"y", b"z"), cloud.positions, double),
+            (_COLOR_PROPS, colors, (b"uchar", "u1") if byte_colors else double),
+            (_NORMAL_PROPS, cloud.normals, double)):
+        if values is not None:
+            columns += [(name, *types, values[:, i])
+                        for i, name in enumerate(names)]
+    records = np.rec.fromarrays(
+        [values for *_, values in columns],
+        dtype=[(name.decode(), np_type) for name, _, np_type, _ in columns])
 
-    header = [b"ply"]
-    header.append(b"format binary_little_endian 1.0" if binary
-                  else b"format ascii 1.0")
-    header.append(b"element vertex %d" % len(cloud))
-    for (name, dt) in columns:
-        tname = {"<f8": b"double", "u1": b"uchar"}[dt]
-        header.append(b"property " + tname + b" " + name)
+    header = [b"ply",
+              b"format binary_little_endian 1.0" if binary
+              else b"format ascii 1.0",
+              b"element vertex %d" % len(cloud)]
+    header += [b"property %s %s" % (ply_type, name)
+               for name, ply_type, _, _ in columns]
     header.append(b"end_header")
 
     try:
         with open(path, "wb") as stream:
             stream.write(b"\n".join(header) + b"\n")
             if binary:
-                dtype = np.dtype([(f"p{i}", dt)
-                                  for i, (_, dt) in enumerate(columns)])
-                out = np.empty(len(cloud), dtype=dtype)
-                for i, arr in enumerate(arrays):
-                    out[f"p{i}"] = arr
-                stream.write(out.tobytes())
+                stream.write(records.tobytes())
             else:
-                byte_cols = {i for i, (_, dt) in enumerate(columns)
-                             if dt == "u1"}
-                for row in range(len(cloud)):
-                    parts = []
-                    for i, arr in enumerate(arrays):
-                        if i in byte_cols:
-                            parts.append(str(int(arr[row])))
-                        else:
-                            parts.append(_format_ascii(arr[row]))
-                    stream.write(" ".join(parts).encode("ascii") + b"\n")
+                # tolist gives Python floats, whose repr is the shortest
+                # string that round-trips, and u1 fields back as ints
+                stream.write("".join(
+                    " ".join(map(repr, row)) + "\n"
+                    for row in records.tolist()).encode("ascii"))
     except OSError as exc:
         raise IoFailure(f"cannot write {path}: {exc}") from exc

@@ -52,10 +52,11 @@ def compute_d1(plan) -> PsnrResult:
     return PsnrResult(mse_f, mse_b, mse, _psnr_db(mse, peak, 3.0), peak)
 
 
-def _projected_mse(src_cloud, tgt_cloud, idx):
-    """Mean squared NN error projected on the target-side normals."""
-    err = src_cloud.positions - tgt_cloud.positions[idx]
-    proj = np.einsum("ij,ij->i", err, tgt_cloud.normals[idx])
+def _projected_mse(src, tgt, idx):
+    """Mean squared NN error projected on the target-side normals, from
+    the ReferenceContexts of both sides."""
+    err = src.cloud.positions - tgt.cloud.positions[idx]
+    proj = np.einsum("ij,ij->i", err, tgt.normals[idx])
     return float(np.mean(proj * proj))
 
 
@@ -67,8 +68,8 @@ def compute_d2(plan) -> PsnrResult:
     Normals are estimated (quadric fit, radius psnr_normal_radius) on any
     side that lacks them.
     """
-    ref, dist = plan.reference.with_normals, plan.distorted.with_normals
-    peak = float(2 ** plan.reference.bit_depth - 1)
+    ref, dist = plan.reference, plan.distorted
+    peak = float(2 ** ref.bit_depth - 1)
     mse_f = _projected_mse(dist, ref, plan.nearest_forward[0])
     mse_b = _projected_mse(ref, dist, plan.nearest_backward[0])
     mse = max(mse_f, mse_b)

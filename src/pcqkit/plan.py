@@ -78,11 +78,11 @@ class ReferenceContext:
             self.cloud.positions, max(c.pointssim_k, c.graphsim_k + 1, 2))
 
     @cached_property
-    def with_normals(self) -> PointCloud:
-        """The cloud with its given or estimated normals, for D2."""
+    def normals(self) -> np.ndarray:
+        """(n, 3) unit normals of the cloud, given or estimated, for D2."""
         cloud = self.cloud
         if cloud.has_normals:
-            return cloud
+            return cloud.normals
         if len(cloud) < 3:
             raise MissingNormalsUnrecoverable(
                 f"cloud of {len(cloud)} points has no normals and is too "

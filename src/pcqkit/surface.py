@@ -144,14 +144,15 @@ def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
     plane_fallback[sel[use_p]] = True
 
 
-def estimate_normals(cloud: PointCloud, neighbors) -> PointCloud:
-    """Estimate unit normals by quadric fitting over each point's
-    neighborhood, one Neighbors row per point (a radius query of the
-    cloud's own points).
+def estimate_normals(cloud: PointCloud, neighbors) -> np.ndarray:
+    """(n, 3) unit normals of a cloud by quadric fitting over each
+    point's neighborhood, one Neighbors row per point (a radius query of
+    the cloud's own points).
 
     Signs are chosen so each normal points away from the bounding-box
-    centroid (non-negative dot with centroid-to-point vector). Returns a
-    new cloud.
+    centroid (non-negative dot with centroid-to-point vector). The
+    fitted normals are unit only to within rounding, so each is divided
+    by its norm once more, as PointCloud does with given normals.
     """
     fit = fit_local_surfaces(cloud.positions, neighbors, cloud.positions)
 
@@ -159,4 +160,4 @@ def estimate_normals(cloud: PointCloud, neighbors) -> PointCloud:
     outward = cloud.positions - centroid
     flip = np.einsum("ij,ij->i", fit.normals, outward) < 0.0
     normals = np.where(flip[:, None], -fit.normals, fit.normals)
-    return cloud.with_normals(normals)
+    return normals / np.linalg.norm(normals, axis=1)[:, None]

@@ -1,3 +1,6 @@
+import struct
+from ast import literal_eval
+
 import numpy as np
 import pytest
 
@@ -54,8 +57,8 @@ def test_normals_are_unit_length():
 @pytest.mark.parametrize("binary", [False, True])
 def test_ply_round_trip(tmp_path, binary):
     cloud = random_cloud(64, seed=5)
-    cloud = cloud.with_normals(
-        np.tile(np.array([[0.0, 0.0, 1.0]]), (64, 1)))
+    cloud = PointCloud(cloud.positions, cloud.colors,
+                       np.tile(np.array([[0.0, 0.0, 1.0]]), (64, 1)))
     path = tmp_path / "cloud.ply"
     save_ply(cloud, path, binary=binary)
     back = load_ply(path)
@@ -75,27 +78,31 @@ def test_ply_round_trip_fractional_coordinates(tmp_path):
         assert np.array_equal(back.positions, cloud.positions)
 
 
+def _header(fmt, *lines):
+    return ("ply\nformat %s 1.0\n" % fmt + "".join(
+        line + "\n" for line in lines) + "end_header\n").encode("ascii")
+
+
+_XYZ = ("property float x", "property float y", "property float z")
+
+
 def test_ply_reads_float_and_uchar_properties(tmp_path):
-    text = """ply
-format ascii 1.0
-comment made by hand
-element vertex 2
-property float x
-property float y
-property float z
-property uchar red
-property uchar green
-property uchar blue
-end_header
-1 2 3 255 0 10
-4 5 6 1 2 3
-"""
-    path = tmp_path / "mixed.ply"
-    path.write_text(text)
-    cloud = load_ply(path)
-    assert cloud.positions.dtype == np.float64
-    assert np.array_equal(cloud.positions, [[1, 2, 3], [4, 5, 6]])
-    assert np.array_equal(cloud.colors, [[255, 0, 10], [1, 2, 3]])
+    lines = ("comment made by hand", "element vertex 2", *_XYZ,
+             "property uchar red", "property uchar green",
+             "property uchar blue")
+    ascii_path = tmp_path / "mixed.ply"
+    ascii_path.write_bytes(_header("ascii", *lines)
+                           + b"1 2 3 255 0 10\n4 5 6 1 2 3\n")
+    binary_path = tmp_path / "mixed_binary.ply"
+    binary_path.write_bytes(_header("binary_little_endian", *lines)
+                            + struct.pack("<3f3B", 1, 2, 3, 255, 0, 10)
+                            + struct.pack("<3f3B", 4, 5, 6, 1, 2, 3))
+    for path in (ascii_path, binary_path):
+        cloud = load_ply(path)
+        assert cloud.positions.dtype == np.float64
+        assert cloud.colors.dtype == np.float64
+        assert np.array_equal(cloud.positions, [[1, 2, 3], [4, 5, 6]])
+        assert np.array_equal(cloud.colors, [[255, 0, 10], [1, 2, 3]])
 
 
 def test_ply_header_errors(tmp_path):
@@ -145,3 +152,88 @@ def test_bounding_box():
     box = bounding_box(cloud)
     assert box.diagonal == 5.0
     assert np.array_equal(box.centroid, [1.5, 2.0, 0.0])
+
+
+def test_ply_skips_an_element_before_the_vertex_element(tmp_path):
+    # ascii skips the element line by line, binary by its stride
+    ascii_path = tmp_path / "ascii.ply"
+    ascii_path.write_bytes(
+        _header("ascii", "element camera 2", "property float view",
+                "property uchar id", "element vertex 2", *_XYZ)
+        + b"0.5 1\n0.25 2\n1 2 3\n4 5 6\n")
+    binary_path = tmp_path / "binary.ply"
+    binary_path.write_bytes(
+        _header("binary_little_endian", "element camera 2",
+                "property float view", "property uchar id",
+                "element vertex 2", *_XYZ)
+        + struct.pack("<fBfB", 0.5, 1, 0.25, 2)
+        + struct.pack("<6f", 1, 2, 3, 4, 5, 6))
+    for path in (ascii_path, binary_path):
+        cloud = load_ply(path)
+        assert np.array_equal(cloud.positions, [[1, 2, 3], [4, 5, 6]])
+        assert cloud.colors is None and cloud.normals is None
+
+
+@pytest.mark.parametrize("partial", [
+    ("property uchar red", "property uchar blue"),
+    ("property float nx", "property float ny")])
+def test_ply_incomplete_attribute_triplet(tmp_path, partial):
+    path = tmp_path / "partial.ply"
+    path.write_bytes(_header("ascii", "element vertex 1", *_XYZ, *partial)
+                     + b"1 2 3 4 5\n")
+    with pytest.raises(MalformedHeader, match="incomplete"):
+        load_ply(path)
+
+
+def test_ply_first_property_of_a_name_wins(tmp_path):
+    lines = ("element vertex 2", "property float x", "property float y",
+             "property float x", "property float z")
+    ascii_path = tmp_path / "ascii.ply"
+    ascii_path.write_bytes(_header("ascii", *lines)
+                           + b"1 2 9 3\n4 5 9 6\n")
+    binary_path = tmp_path / "binary.ply"
+    binary_path.write_bytes(_header("binary_little_endian", *lines)
+                            + struct.pack("<8f", 1, 2, 9, 3, 4, 5, 9, 6))
+    for path in (ascii_path, binary_path):
+        assert np.array_equal(load_ply(path).positions,
+                              [[1, 2, 3], [4, 5, 6]])
+
+
+# save_ply output, frozen: a cloud with byte-valued colors and normals,
+# and one with non-byte colors and no normals
+_FROZEN = [
+    (PointCloud(np.array([[0.0, 0.1, -2.5], [1e16, 3.0, 1.0 / 3.0],
+                          [-0.0, 7.0, 1023.0]]),
+                np.array([[255.0, 0.0, 17.0], [1.0, 2.0, 3.0],
+                          [128.0, 64.0, 32.0]]),
+                np.array([[0.0, 0.0, 1.0], [-2.0, 0.0, 0.0],
+                          [0.0, 0.5, 0.0]])),
+     ["double x", "double y", "double z", "uchar red", "uchar green",
+      "uchar blue", "double nx", "double ny", "double nz"], "<3d3B3d",
+     ["0.0 0.1 -2.5 255 0 17 0.0 0.0 1.0",
+      "1e+16 3.0 0.3333333333333333 1 2 3 -1.0 0.0 0.0",
+      "-0.0 7.0 1023.0 128 64 32 0.0 1.0 0.0"]),
+    (PointCloud(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0],
+                          [7.0, 8.0, 9.0]]),
+                np.array([[0.5, 10.0, 255.0], [1.0, 2.0, 3.0],
+                          [0.0, 254.25, 99.0]])),
+     ["double x", "double y", "double z", "double red", "double green",
+      "double blue"], "<6d",
+     ["1.0 2.0 3.0 0.5 10.0 255.0",
+      "4.0 5.0 6.0 1.0 2.0 3.0",
+      "7.0 8.0 9.0 0.0 254.25 99.0"]),
+]
+
+
+@pytest.mark.parametrize("cloud, properties, row_format, rows", _FROZEN)
+def test_save_ply_bytes_are_frozen(tmp_path, cloud, properties, row_format,
+                                   rows):
+    lines = ["element vertex 3"] + ["property " + p for p in properties]
+    path = tmp_path / "cloud.ply"
+    save_ply(cloud, path)
+    assert path.read_bytes() == _header("ascii", *lines) + "".join(
+        row + "\n" for row in rows).encode("ascii")
+    save_ply(cloud, path, binary=True)
+    assert path.read_bytes() == _header("binary_little_endian", *lines) \
+        + b"".join(struct.pack(row_format, *map(literal_eval, row.split()))
+                   for row in rows)

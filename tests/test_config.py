@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from pcqkit.config import ENV_VAR, Config, load_config
@@ -139,6 +140,21 @@ def test_hash_covers_semantic_fields_only():
     assert Config(pcqm_k4=0.01).hash != base
 
 
+def test_int_in_a_float_field_hashes_as_the_float():
+    # an int would otherwise miss the cache and fail predict's hash check
+    config = Config(psnr_cap_db=100, pcqm_k1=0, graphsim_t_mag=1)
+    assert config.psnr_cap_db == 100.0 and type(config.psnr_cap_db) is float
+    assert type(config.pcqm_k1) is float
+    assert Config(psnr_cap_db=100).hash == Config().hash
+    assert config.hash == Config(psnr_cap_db=100.0, pcqm_k1=0.0,
+                                 graphsim_t_mag=1.0).hash
+    assert dataclasses.replace(Config(), psnr_cap_db=100).hash \
+        == Config().hash
+    numpy_float = Config(psnr_cap_db=np.float64(100.0))
+    assert type(numpy_float.psnr_cap_db) is float
+    assert numpy_float.hash == Config().hash
+
+
 def test_default_hash_is_pinned():
     # cache keys and the predict-time hash check depend on this value
     assert Config().hash == "b97df0cab774"
@@ -152,6 +168,10 @@ _RANGES = [
     ("pipeline_seed", -1, 0),
     ("pipeline_seed", 1.5, 1),
     ("graphsim_n_scales", 2, 3),
+    ("graphsim_n_scales", 3.0, 3),
+    ("graphsim_smoothing", "no", False),
+    ("graphsim_smoothing", 0, True),
+    ("graphsim_smoothing", None, False),
     ("graphsim_keypoint_fraction", 0.0, 1.0),
     ("graphsim_keypoint_fraction", 1.0000001, 1e-9),
     ("pointssim_k", 0, 1),
@@ -168,6 +188,10 @@ _RANGES = [
     ("graphsim_t_cov", 0.0, 1e-9),
     ("pointssim_pooling_exponent", 0.0, 1e-9),
     ("psnr_cap_db", -1e-9, 0.0),
+    ("psnr_cap_db", True, 100),
+    ("psnr_normal_radius", False, 0),
+    ("graphsim_keypoint_fraction", True, 1),
+    ("pcqm_k4", True, 0),
     ("cloud_bit_depth", 0, 1),
     ("cloud_bit_depth", 33, 32),
     ("cloud_bit_depth", 8.5, 8),

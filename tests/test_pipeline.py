@@ -310,7 +310,7 @@ def test_each_query_runs_once_per_pair(monkeypatch):
     reference = ReferenceContext.build(ref)
     # the reference side: its kd-tree, one self k-NN and three radius
     # queries (normals, PCQM h, GraphSIM keypoints), each made once
-    fields = ("index", "knn", "with_normals", "ycc", "geometry_dispersion",
+    fields = ("index", "knn", "normals", "ycc", "geometry_dispersion",
               "luminance_dispersion", "pcqm_neighbors", "corr", "graphsim")
     assert count(lambda: [getattr(reference, f) for f in fields]) == (1, 1, 3)
     assert count(lambda: [getattr(reference, f) for f in fields]) == (0, 0, 0)

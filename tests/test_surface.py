@@ -50,8 +50,9 @@ def test_estimate_normals_oriented_outward_from_centroid():
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     cloud = PointCloud(7.0 * direction)
     neighbors = build_index(cloud).radius_batch(cloud.positions, 1.5)
-    with_normals = estimate_normals(cloud, neighbors)
-    dots = np.einsum("ij,ij->i", with_normals.normals, direction)
+    normals = estimate_normals(cloud, neighbors)
+    assert normals.shape == (2000, 3)
+    dots = np.einsum("ij,ij->i", normals, direction)
     assert (dots > 0).mean() > 0.99
 
 
