@@ -220,15 +220,14 @@ def _cmd_evaluate(args):
 def _cmd_crossval(args):
     seed = _config_from(args).pipeline_seed
     table = read_features_csv(args.features)
-    model_name = MODEL_ALIASES.get(args.model, args.model)
+    model = make_model(args.model)
     folds = group_kfold(table.groups(), args.folds, seed=seed)
-    X, mos = make_model(model_name).select(table), table.mos()
+    X, mos = model.select(table), table.mos()
     predicted = np.full(len(table), np.nan)
     for train_idx, test_idx in folds:
-        fold_model = make_model(model_name)
-        fold_model.fit(X[train_idx], mos[train_idx])
-        predicted[test_idx] = fold_model.predict(X[test_idx])
-    report = evaluate([(model_name, predicted)], mos, table.mos_std())
+        model.fit(X[train_idx], mos[train_idx])
+        predicted[test_idx] = model.predict(X[test_idx])
+    report = evaluate([(model.name, predicted)], mos, table.mos_std())
     payload = report.as_dict()
     payload["folds"] = args.folds
     payload["seed"] = seed

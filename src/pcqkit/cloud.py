@@ -52,11 +52,16 @@ class PointCloud:
             object.__setattr__(self, "colors", check_colors(self.colors, n))
         if self.normals is not None:
             object.__setattr__(self, "normals", check_normals(self.normals, n))
-        if self.bit_depth is not None:
-            if not 1 <= int(self.bit_depth) <= 32:
+        depth = self.bit_depth
+        if depth is not None:
+            # int() would truncate a float and take a bool as 0 or 1
+            if (isinstance(depth, bool)
+                    or not isinstance(depth, (int, np.integer))
+                    or not 1 <= depth <= 32):
                 raise InvalidCloud(
-                    f"bit_depth must lie in [1, 32], got {self.bit_depth}")
-            object.__setattr__(self, "bit_depth", int(self.bit_depth))
+                    f"bit_depth must be an integer from 1 to 32, "
+                    f"got {depth!r}")
+            object.__setattr__(self, "bit_depth", int(depth))
         for arr in (self.positions, self.colors, self.normals):
             if arr is not None:
                 arr.setflags(write=False)

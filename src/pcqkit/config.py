@@ -43,7 +43,7 @@ _LEGAL = {
     "psnr_ycbcr_matrix": _one_of(*YCBCR_MATRICES),
     "psnr_yuv_symmetric": _one_of("mse", "psnr"),
     "pointssim_estimator": _one_of(*ESTIMATORS),
-    # not a bool, nor a float that PointCloud would truncate
+    # not a bool nor a float, as PointCloud's own bit_depth
     "cloud_bit_depth": ((lambda v: v is None or (type(v) is int
                                                  and 1 <= v <= 32)),
                         "none or an integer from 1 to 32"),

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (MissingFeatureColumn, NonConvergence, SingularSystem,
-                     TooFewGroups, UnknownModel)
+from .errors import (DegenerateInput, MissingFeatureColumn, NonConvergence,
+                     SingularSystem, TooFewGroups, UnknownModel)
+from .evaluation import pearson
 from .validation import check_matrix_2d, check_paired
 
 __all__ = ["MinMaxScaler", "RidgeRegression", "RbfSvr", "rbf_kernel",
@@ -124,20 +125,20 @@ class RbfSvr:
         gamma = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
         K = rbf_kernel(X, X, gamma)
 
-        # variables: z = (alpha_0..alpha_n-1, alphastar_0..alphastar_n-1)
+        # z = (alpha, alpha*) and beta = alpha - alpha*. A step of t raises
+        # beta at i % n and lowers it at j % n; i is an alpha below C or an
+        # alpha* above 0, j an alpha above 0 or an alpha* below C
         z = np.zeros(2 * n)
-        d = np.concatenate([np.ones(n), -np.ones(n)])
+        alpha, alpha_s = z[:n], z[n:]
         beta = np.zeros(n)
         f_raw = np.zeros(n)          # K @ beta, maintained incrementally
         gap = math.inf
 
         for _ in range(int(self.max_iter)):
-            g_a = f_raw + eps - y    # gradient, alpha block
-            g_s = -f_raw + eps + y   # gradient, alphastar block
-            grad = np.concatenate([g_a, g_s])
-            score = -d * grad
-            up = (z < C) & (d > 0) | (z > 0) & (d < 0)
-            low = (z > 0) & (d > 0) | (z < C) & (d < 0)
+            # minus the dual gradient along beta, per block
+            score = np.concatenate([-(f_raw + eps - y), -f_raw + eps + y])
+            up = np.concatenate([alpha < C, alpha_s > 0])
+            low = np.concatenate([alpha > 0, alpha_s < C])
             # masked, so an index outside a side never wins
             up_score = np.where(up, score, -np.inf)
             low_score = np.where(low, score, np.inf)
@@ -148,20 +149,15 @@ class RbfSvr:
                 break
 
             ii, jj = i % n, j % n
-            # curvature along the direction (u_i, u_j) = (d_i, -d_j); the
-            # block signs square away, leaving the plain kernel combination
+            # the Newton step gap / curvature, clipped to the box
             a = max(K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj], 1e-12)
-            t = gap / a
-            # clip the step to the box along the feasible direction
-            t = min(t, C - z[i] if d[i] > 0 else z[i])
-            t = min(t, z[j] if d[j] > 0 else C - z[j])
-            z[i] += d[i] * t
-            z[j] -= d[j] * t
-            dbeta_i = d[i] * (d[i] * t)      # change of beta at ii
-            dbeta_j = d[j] * (-d[j] * t)     # change of beta at jj
-            beta[ii] += dbeta_i
-            beta[jj] += dbeta_j
-            f_raw += K[:, ii] * dbeta_i + K[:, jj] * dbeta_j
+            t = min(gap / a, C - z[i] if i < n else z[i],
+                    z[j] if j < n else C - z[j])
+            z[i] += t if i < n else -t
+            z[j] -= t if j < n else -t
+            beta[ii] += t
+            beta[jj] -= t
+            f_raw += K[:, ii] * t - K[:, jj] * t
         else:
             raise NonConvergence(
                 f"SMO did not reach tol={self.tol} within "
@@ -204,18 +200,18 @@ class FeatureRanking:
     rounds: list   # (surviving column tuple, importance array) per round
 
 
-def _pearson(a, b):
-    sa, sb = a.std(), b.std()
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    return float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-
-
 def _importances(estimator, X, y, seed, round_idx):
     if isinstance(estimator, RidgeRegression):
         return np.abs(estimator.coef_)
-    pred = estimator.predict(X)
-    base = _pearson(pred, y)
+
+    def correlation(rows):
+        pred = estimator.predict(rows)
+        try:
+            return pearson(pred, y)
+        except DegenerateInput:   # a constant prediction
+            return 0.0
+
+    base = correlation(X)
     scores = np.zeros(X.shape[1])
     for col in range(X.shape[1]):
         drop = 0.0
@@ -224,7 +220,7 @@ def _importances(estimator, X, y, seed, round_idx):
                 np.random.SeedSequence([seed, round_idx, col, rep]))
             shuffled = X.copy()
             shuffled[:, col] = shuffled[rng.permutation(X.shape[0]), col]
-            drop += base - _pearson(estimator.predict(shuffled), y)
+            drop += base - correlation(shuffled)
         scores[col] = drop / 10.0
     return scores
 
@@ -253,17 +249,14 @@ def rfe_rank(X, y, estimator: str = "ridge", step: int = 1, seed: int = 0,
     survivors = list(range(p))
     eliminated = []
     rounds = []
-    round_idx = 0
     while survivors:
         sub = scaled[:, survivors]
         model = make(**params).fit(sub, y)
-        imp = _importances(model, sub, y, seed, round_idx)
+        imp = _importances(model, sub, y, seed, len(rounds))
         rounds.append((tuple(survivors), imp))
-        order = np.lexsort((np.arange(len(survivors)), imp))
-        for pos in order[:min(step, len(survivors))]:
+        for pos in np.argsort(imp, kind="stable")[:step]:
             eliminated.append(survivors[pos])
         survivors = [c for c in survivors if c not in eliminated]
-        round_idx += 1
     ranking = list(reversed(eliminated))
     return FeatureRanking(ranking, [names[c] for c in ranking], rounds)
 

@@ -48,6 +48,19 @@ def test_require_colors():
         cloud.require_colors("test metric")
 
 
+@pytest.mark.parametrize("depth", [8.7, np.float64(9.9), True, 0, 33])
+def test_bit_depth_must_be_an_integer_from_1_to_32(depth):
+    with pytest.raises(InvalidCloud, match="bit_depth"):
+        PointCloud(np.zeros((2, 3)), bit_depth=depth)
+
+
+@pytest.mark.parametrize("depth", [10, np.int64(10), np.uint8(10)])
+def test_bit_depth_accepts_python_and_numpy_integers(depth):
+    cloud = PointCloud(np.zeros((2, 3)), bit_depth=depth)
+    assert type(cloud.bit_depth) is int and cloud.bit_depth == 10
+    assert ReferenceContext.build(cloud).bit_depth == 10
+
+
 def test_normals_are_unit_length():
     cloud = PointCloud(np.zeros((2, 3)),
                        normals=np.array([[0., 0., 2.], [3., 0., 0.]]))
@@ -144,6 +157,62 @@ def test_ply_list_property_rejected(tmp_path):
         "property float x\nproperty float y\nproperty float z\n"
         "property list uchar int vertex_indices\nend_header\n1 2 3 0\n")
     with pytest.raises(UnsupportedFormat):
+        load_ply(path)
+
+
+_VERTEX = ("element vertex 1", *_XYZ)
+_MALFORMED = [
+    ("no-end-header", b"ply\nformat ascii 1.0\nelement vertex 1\n",
+     MalformedHeader, "ended before end_header"),
+    ("short-format", b"ply\nformat ascii\nend_header\n",
+     MalformedHeader, "malformed format line"),
+    ("unknown-format", _header("binary_middle_endian", *_VERTEX),
+     UnsupportedFormat, "unknown PLY format"),
+    ("short-element", _header("ascii", "element vertex", *_XYZ),
+     MalformedHeader, "malformed element line"),
+    ("text-count", _header("ascii", "element vertex many", *_XYZ),
+     MalformedHeader, "bad element count"),
+    ("negative-count", _header("ascii", "element vertex -1", *_XYZ),
+     MalformedHeader, "negative element count"),
+    ("orphan-property", _header("ascii", *_XYZ, *_VERTEX),
+     MalformedHeader, "property before any element"),
+    ("short-property", _header("ascii", "element vertex 1",
+                               "property float"),
+     MalformedHeader, "malformed property line"),
+    ("unknown-type", _header("ascii", "element vertex 1",
+                             "property half x"),
+     UnsupportedFormat, "unknown property type"),
+    ("unknown-keyword", _header("ascii", "vertices 1", *_XYZ),
+     MalformedHeader, "unexpected header keyword"),
+    ("no-format", b"ply\nelement vertex 1\nend_header\n",
+     MalformedHeader, "no format line"),
+    ("list-before-vertex", _header("ascii", "element face 1",
+                                   "property list uchar int idx", *_VERTEX)
+     + b"1 0\n1 2 3\n", UnsupportedFormat, "list property before vertex"),
+    ("ascii-ends-in-element", _header("ascii", "element camera 2",
+                                      "property float view", *_VERTEX)
+     + b"0.5\n", CountMismatch, "file ended inside element"),
+    ("no-vertex", _header("ascii", "element face 0",
+                          "property float area"),
+     MalformedHeader, "no vertex element"),
+    ("vertex-without-properties", _header("ascii", "element vertex 1"),
+     MalformedHeader, "has no properties"),
+    ("text-value", _header("ascii", *_VERTEX) + b"1 two 3\n",
+     MalformedHeader, "non-numeric vertex value"),
+    ("short-binary", _header("binary_little_endian", *_VERTEX)
+     + struct.pack("<2f", 1, 2), CountMismatch, "expected 12 vertex bytes"),
+    ("no-position", _header("ascii", "element vertex 1", "property float w")
+     + b"1\n", MalformedHeader, "lacks x/y/z"),
+]
+
+
+@pytest.mark.parametrize("content, error, fragment",
+                         [case[1:] for case in _MALFORMED],
+                         ids=[case[0] for case in _MALFORMED])
+def test_ply_refuses_a_malformed_file(tmp_path, content, error, fragment):
+    path = tmp_path / "bad.ply"
+    path.write_bytes(content)
+    with pytest.raises(error, match=fragment):
         load_ply(path)
 
 

@@ -1,14 +1,17 @@
-"""README's "Library use" example runs as written.
+"""README's "Library use" example runs as written, and its range table
+names every ranged configuration field.
 
 The block is read from README.md and executed in a temporary directory
 that holds the files it names: ref.ply, dist.ply and a manifest of 3
 references with 2 distortions each.
 """
 
+import dataclasses
 import math
 import os
 import re
 
+from pcqkit.config import _LEGAL, Config
 from pcqkit.io_ply import save_ply
 from pcqkit.pipeline import FEATURE_COLUMNS
 
@@ -51,3 +54,29 @@ def test_library_use_example_runs(tmp_path, monkeypatch):
     assert namespace["stats"]["n_computed"] == 6
     assert len(namespace["scores"]) == 6
     assert [m.name for m in namespace["report"].metrics] == ["fsm"]
+
+
+def range_table_fields() -> set:
+    """Config fields that README's range table has a row for."""
+    with open(README) as stream:
+        cells = re.findall(r"^\| (`\[\w+\] .*?) \|", stream.read(),
+                           re.MULTILINE)
+    fields = set()
+    for cell in cells:
+        section = re.match(r"`\[(\w+)\]", cell).group(1)
+        keys = re.findall(r"`(?:\[\w+\] )?(\w+)`", cell)
+        if "..." in cell:   # `k1` ... `k8` names k1 to k8
+            prefix = keys[0].rstrip("0123456789")
+            first, last = (int(key[len(prefix):]) for key in keys)
+            keys = [f"{prefix}{i}" for i in range(first, last + 1)]
+        fields.update(f"{section}_{key}" for key in keys)
+    return fields
+
+
+def test_range_table_has_a_row_for_every_ranged_field():
+    # a choice (str) or a flag (bool) has no range
+    ranged = {f.name for f in dataclasses.fields(Config)
+              if f.name in _LEGAL and f.type not in (str, bool)}
+    rows = range_table_fields()
+    assert ranged - rows == set()
+    assert rows - ranged == set()

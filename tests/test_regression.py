@@ -209,6 +209,22 @@ def test_rfe_recovers_planted_features_svr():
     assert set(ranking.order[:2]) == {0, 1}
 
 
+def test_rfe_with_a_constant_svr_prediction_drops_columns_in_index_order():
+    # epsilon of half the spread of y: SMO stops before its first step,
+    # the SVR predicts its intercept everywhere, and a constant
+    # prediction correlates 0, so every importance is 0 and ties break
+    # toward the lower column index
+    rng = np.random.default_rng(14)
+    X, y = _planted_problem(rng, n=30, p=5)
+    ranking = rfe_rank(X, y, estimator="svr", seed=2, estimator_params={
+        "epsilon": (y.max() - y.min()) / 2.0})
+    assert ranking.order == [4, 3, 2, 1, 0]
+    assert [survivors for survivors, _ in ranking.rounds] == [
+        (0, 1, 2, 3, 4), (1, 2, 3, 4), (2, 3, 4), (3, 4), (4,)]
+    for _, importances in ranking.rounds:
+        assert np.array_equal(importances, np.zeros(len(importances)))
+
+
 def test_rfe_step_and_determinism():
     rng = np.random.default_rng(13)
     X, y = _planted_problem(rng)
