@@ -12,6 +12,7 @@ import configparser
 import dataclasses
 import hashlib
 import math
+import numbers
 import os
 import typing
 from dataclasses import dataclass
@@ -99,7 +100,8 @@ class Config:
     pipeline_seed: int = 0
 
     def __post_init__(self):
-        # an int or numpy float would hash apart from the equal float
+        # an int or numpy float would hash apart from the equal float, and
+        # a numpy integer apart from the equal int; no bool is either
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if f.type is float and type(value) is bool:
@@ -107,6 +109,9 @@ class Config:
                     f"{f.name}: expected a number, got {value!r}")
             if f.type is float and isinstance(value, (int, float)):
                 object.__setattr__(self, f.name, float(value))
+            if f.name in _INTEGERS and isinstance(
+                    value, numbers.Integral) and type(value) is not bool:
+                object.__setattr__(self, f.name, int(value))
         for name, (test, what) in _LEGAL.items():
             value = getattr(self, name)
             if not test(value):
@@ -119,6 +124,10 @@ class Config:
                             for f in dataclasses.fields(self)
                             if f.name not in _OPERATIONAL)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+_INTEGERS = {f.name for f in dataclasses.fields(Config)
+             if f.type in (int, Optional[int])}
 
 
 def _convert(name: str, raw: str, annotation):

@@ -19,7 +19,7 @@ The statistics walk the radius-h self query in bounded row blocks
 weighted means and one for the six deviation products.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -59,19 +59,30 @@ def build_correspondence(ref: PointCloud, source: PointCloud, neighbors,
     point nearest (one source index per ref point). With source = ref
     this reproduces the reference's own fields.
     """
-    colors = source.require_colors("PCQM correspondence")
+    colors = _colors(source, nearest, table)
     fit = fit_local_surfaces(source.positions, neighbors, ref.positions)
-    lab = rgb_to_perceptual(colors[nearest], table)
-    a, b = lab[:, 1], lab[:, 2]
     return Correspondence(
         curvature=fit.curvatures,
-        lightness=lab[:, 0],
-        chroma_a=a,
-        chroma_b=b,
-        chroma=np.hypot(a, b),
+        **colors,
         plane_fallbacks=int(fit.plane_fallback.sum()),
         degenerates=int(fit.degenerate.sum()),
     )
+
+
+def recolor(corr: Correspondence, source: PointCloud, nearest,
+            table: Optional[Lab2000HLTable]) -> Correspondence:
+    """corr with its colours sampled from source at nearest: the
+    correspondence of a source at the positions corr was fitted to."""
+    return replace(corr, **_colors(source, nearest, table))
+
+
+def _colors(source, nearest, table):
+    """The perceptual colour fields of source at the points nearest."""
+    lab = rgb_to_perceptual(
+        source.require_colors("PCQM correspondence")[nearest], table)
+    a, b = lab[:, 1], lab[:, 2]
+    return dict(lightness=lab[:, 0], chroma_a=a, chroma_b=b,
+                chroma=np.hypot(a, b))
 
 
 @dataclass(frozen=True)

@@ -52,11 +52,11 @@ def compute_d1(plan) -> PsnrResult:
     return PsnrResult(mse_f, mse_b, mse, _psnr_db(mse, peak, 3.0), peak)
 
 
-def _projected_mse(src, tgt, idx):
-    """Mean squared NN error projected on the target-side normals, from
-    the ReferenceContexts of both sides."""
+def _projected_mse(src, tgt, idx, normals):
+    """Mean squared NN error projected on normals, the target-side
+    normals at idx, from the ReferenceContexts of both sides."""
     err = src.cloud.positions - tgt.cloud.positions[idx]
-    proj = np.einsum("ij,ij->i", err, tgt.normals[idx])
+    proj = np.einsum("ij,ij->i", err, normals)
     return float(np.mean(proj * proj))
 
 
@@ -66,12 +66,14 @@ def compute_d2(plan) -> PsnrResult:
     Each NN error vector is projected onto the normal of the matched
     point, so tangential displacement along a surface is not penalized.
     Normals are estimated (quadric fit, radius psnr_normal_radius) on any
-    side that lacks them.
+    side that lacks them: the whole reference, shared by its distortions,
+    and the dist points that a ref point is matched to.
     """
     ref, dist = plan.reference, plan.distorted
     peak = float(2 ** ref.bit_depth - 1)
-    mse_f = _projected_mse(dist, ref, plan.nearest_forward[0])
-    mse_b = _projected_mse(ref, dist, plan.nearest_backward[0])
+    fwd, bwd = plan.nearest_forward[0], plan.nearest_backward[0]
+    mse_f = _projected_mse(dist, ref, fwd, ref.normals[fwd])
+    mse_b = _projected_mse(ref, dist, bwd, dist.normals_at(bwd))
     mse = max(mse_f, mse_b)
     return PsnrResult(mse_f, mse_b, mse, _psnr_db(mse, peak, 3.0), peak)
 

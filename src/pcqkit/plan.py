@@ -31,7 +31,7 @@ from .colorspace import Lab2000HLTable, rgb_to_ycbcr
 from .config import Config
 from .errors import MissingNormalsUnrecoverable
 from .metrics.graphsim import graphsim_reference
-from .metrics.pcqm import build_correspondence
+from .metrics.pcqm import build_correspondence, recolor
 from .metrics.pointssim import extract_dispersion
 from .spatial import build_index
 from .surface import estimate_normals
@@ -49,10 +49,14 @@ class ReferenceContext:
     One self k-NN query (k = max(pointssim_k, graphsim_k + 1, 2)) feeds
     every self-neighbor lookup: rows of knn_batch are sorted by
     (distance, index), so its first j columns equal a j-query.
+
+    geometry is a context of the same positions, whose kd-tree, self
+    k-NN and estimated normals this one reuses.
     """
 
     cloud: PointCloud
     config: Config
+    geometry: Optional["ReferenceContext"] = None
 
     @classmethod
     def build(cls, cloud: PointCloud, config: Config = None):
@@ -68,11 +72,14 @@ class ReferenceContext:
 
     @cached_property
     def index(self):
-        return build_index(self.cloud)
+        return self.geometry.index if self.geometry else build_index(
+            self.cloud)
 
     @cached_property
     def knn(self):
         """(indices, distances) of the one self k-NN query."""
+        if self.geometry:
+            return self.geometry.knn
         c = self.config
         return self.index.knn_batch(
             self.cloud.positions, max(c.pointssim_k, c.graphsim_k + 1, 2))
@@ -80,15 +87,24 @@ class ReferenceContext:
     @cached_property
     def normals(self) -> np.ndarray:
         """(n, 3) unit normals of the cloud, given or estimated, for D2."""
+        return self.normals_at(np.arange(len(self.cloud)))
+
+    def normals_at(self, rows) -> np.ndarray:
+        """normals[rows], estimated at the distinct rows alone unless the
+        cloud has its own or shares a geometry that has none."""
         cloud = self.cloud
         if cloud.has_normals:
-            return cloud.normals
+            return cloud.normals[rows]
+        if self.geometry and not self.geometry.cloud.has_normals:
+            return self.geometry.normals[rows]
         if len(cloud) < 3:
             raise MissingNormalsUnrecoverable(
                 f"cloud of {len(cloud)} points has no normals and is too "
                 "small to estimate them")
+        distinct, inverse = np.unique(rows, return_inverse=True)
         return estimate_normals(cloud, self.index.radius_batch(
-            cloud.positions, self.config.psnr_normal_radius))
+            cloud.positions[distinct], self.config.psnr_normal_radius),
+            distinct)[inverse]
 
     @cached_property
     def ycc(self) -> np.ndarray:
@@ -154,14 +170,17 @@ class PairPlan:
         config (default Config()), or a ReferenceContext, which shares
         the reference-side work across the distortions of one reference
         and whose own config is then the only one: passing config as
-        well raises TypeError.
+        well raises TypeError. A dist at the reference's exact positions
+        (a colour-only distortion) shares the reference's geometry.
         """
         if not isinstance(ref, ReferenceContext):
             ref = ReferenceContext.build(ref, config)
         elif config is not None:
             raise TypeError("a ReferenceContext carries its own config; "
                             "pass no config with it")
-        return cls(ref, ReferenceContext.build(dist, ref.config))
+        same = np.array_equal(dist.positions, ref.cloud.positions)
+        return cls(ref, ReferenceContext(dist, ref.config,
+                                         ref if same else None))
 
     @property
     def config(self) -> Config:
@@ -177,20 +196,29 @@ class PairPlan:
 
     @cached_property
     def nearest_forward(self):
-        """(index, distance) of the nearest ref point of every dist point."""
+        """(index, distance) of the nearest ref point of every dist point
+        (with shared geometry, column 0 of the self k-NN)."""
+        if self.distorted.geometry:
+            return tuple(a[:, 0].copy() for a in self.reference.knn)
         return self.reference.index.nearest_batch(self.dist.positions)
 
     @cached_property
     def nearest_backward(self):
         """(index, distance) of the nearest dist point of every ref point."""
+        if self.distorted.geometry:
+            return self.nearest_forward
         return self.distorted.index.nearest_batch(self.ref.positions)
 
     @cached_property
     def corr(self):
         """The dist surface sampled at every ref point (PCQM), fitted to
         the dist points within h of each ref point; that query is made
-        here and not kept."""
+        here and not kept. With shared geometry only the colours are
+        sampled: the surface is the reference's own."""
         reference = self.reference
+        if self.distorted.geometry:
+            return recolor(reference.corr, self.dist,
+                           self.nearest_backward[0], reference.lab_table)
         return build_correspondence(
             self.ref, self.dist,
             self.distorted.index.radius_batch(self.ref.positions,

@@ -79,11 +79,10 @@ def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
     # reduceat needs non-empty segments: they start at the non-empty rows
     seg_starts = block.offsets[sel]
     flat = block.indices
-    ctr_row = np.repeat(np.arange(len(sel)), seg_counts)
 
     d = np.take(points, flat, axis=0)
     mean = np.add.reduceat(d, seg_starts, axis=0) / seg_counts[:, None]
-    d -= mean[ctr_row]
+    d -= mean[np.repeat(np.arange(len(sel)), seg_counts)]
 
     # neighborhood covariance and PCA frame; each stage frees its per-row
     # arrays before the next allocates, which the block budget counts on
@@ -96,16 +95,29 @@ def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
     scale = eigval[:, 2]
     bad = (scale <= 0.0) | (eigval[:, 1] <= 1e-12 * scale)
     degenerate[sel[bad]] = True
+    enough = (seg_counts >= _MIN_QUADRIC_POINTS) & ~bad
+    plane = ~enough & ~bad
+    normals[sel[plane]] = eigvec[plane][:, :, 0]
+    plane_fallback[sel[plane]] = True
+
+    # quadrics only for the rows that read one: 6+ points, not degenerate
+    quad = np.flatnonzero(enough)
+    if len(quad) == 0:
+        return
+    d = d[np.repeat(enough, seg_counts)]
+    seg_counts = seg_counts[quad]
+    seg_starts = np.cumsum(seg_counts) - seg_counts
 
     # local frame: x, y span the plane, z along the smallest eigenvector;
     # "kij,ki->kj" contracts over rows, i.e. multiplies by frame transpose.
     # d stays row-major: on a transposed view einsum sums in another order.
-    frame = eigvec[:, :, [2, 1, 0]]
-    local = np.einsum("kij,ki->kj", frame[ctr_row], d)
-    c_local = np.einsum("kij,ki->kj", frame, centers[sel] - mean)
-    del d, ctr_row
+    frame = eigvec[quad][:, :, [2, 1, 0]]
+    local = np.einsum("kij,ki->kj",
+                      frame[np.repeat(np.arange(len(quad)), seg_counts)], d)
+    c_local = np.einsum("kij,ki->kj", frame, centers[sel[quad]] - mean[quad])
+    del d
 
-    terms = np.empty((3 + len(_PRODUCTS), len(flat)))
+    terms = np.empty((3 + len(_PRODUCTS), len(local)))
     terms[:3] = local.T
     del local
     for row, (p, q) in enumerate(_PRODUCTS, start=3):
@@ -115,7 +127,6 @@ def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
     ata = np.ascontiguousarray(sums.T[:, _ATA])
     atb = sums[_ATB].T
 
-    enough = (seg_counts >= _MIN_QUADRIC_POINTS) & ~bad
     # tiny relative ridge keeps near-singular systems solvable
     tr = np.trace(ata, axis1=1, axis2=2) / 6.0
     ata += (1e-10 * np.maximum(tr, 1e-30))[:, None, None] * np.eye(6)
@@ -132,32 +143,24 @@ def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
 
     n_local = np.stack([-fx, -fy, np.ones_like(fx)], axis=1) / \
         np.sqrt(g)[:, None]
-    n_world = np.einsum("kij,kj->ki", frame, n_local)
-
-    use_q = enough
-    use_p = ~enough & ~bad
-    out = sel[use_q]
-    normals[out] = n_world[use_q]
-    curvatures[out] = np.abs(h_mean[use_q])
-    out = sel[use_p]
-    normals[out] = eigvec[use_p][:, :, 0]
-    plane_fallback[sel[use_p]] = True
+    normals[sel[quad]] = np.einsum("kij,kj->ki", frame, n_local)
+    curvatures[sel[quad]] = np.abs(h_mean)
 
 
-def estimate_normals(cloud: PointCloud, neighbors) -> np.ndarray:
-    """(n, 3) unit normals of a cloud by quadric fitting over each
-    point's neighborhood, one Neighbors row per point (a radius query of
-    the cloud's own points).
+def estimate_normals(cloud: PointCloud, neighbors,
+                     rows=slice(None)) -> np.ndarray:
+    """(m, 3) unit normals of a cloud at its points rows (default all)
+    by quadric fitting, one Neighbors row per point (a radius query).
 
-    Signs are chosen so each normal points away from the bounding-box
-    centroid (non-negative dot with centroid-to-point vector). The
-    fitted normals are unit only to within rounding, so each is divided
-    by its norm once more, as PointCloud does with given normals.
+    Signs are chosen so each normal points away from the whole cloud's
+    bounding-box centroid (non-negative dot with centroid-to-point
+    vector). The fitted normals are unit only to within rounding, so each
+    is divided by its norm once more, as PointCloud does with given ones.
     """
-    fit = fit_local_surfaces(cloud.positions, neighbors, cloud.positions)
+    positions = cloud.positions[rows]
+    fit = fit_local_surfaces(cloud.positions, neighbors, positions)
 
-    centroid = bounding_box(cloud).centroid
-    outward = cloud.positions - centroid
+    outward = positions - bounding_box(cloud).centroid
     flip = np.einsum("ij,ij->i", fit.normals, outward) < 0.0
     normals = np.where(flip[:, None], -fit.normals, fit.normals)
     return normals / np.linalg.norm(normals, axis=1)[:, None]

@@ -155,6 +155,31 @@ def test_int_in_a_float_field_hashes_as_the_float():
     assert numpy_float.hash == Config().hash
 
 
+_INTEGER_FIELDS = ["cloud_bit_depth", "pointssim_k", "graphsim_k",
+                   "graphsim_n_scales", "pipeline_jobs", "pipeline_seed"]
+
+
+@pytest.mark.parametrize("field", _INTEGER_FIELDS)
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8])
+def test_numpy_integer_in_an_int_field_is_stored_as_the_int(field, kind):
+    # a numpy integer would otherwise hash apart from the equal int
+    config = Config(**{field: kind(5)})
+    assert type(getattr(config, field)) is int
+    assert getattr(config, field) == 5
+    assert config.hash == Config(**{field: 5}).hash
+    assert type(getattr(dataclasses.replace(Config(), **{field: kind(5)}),
+                        field)) is int
+
+
+@pytest.mark.parametrize("field", _INTEGER_FIELDS)
+@pytest.mark.parametrize("value", [np.bool_(True), True, np.float64(5.5),
+                                   np.float64(5.0)],
+                         ids=["np-bool", "bool", "np-fraction", "np-float"])
+def test_int_fields_refuse_bools_and_floats(field, value):
+    with pytest.raises(ConfigMismatch, match=f"^{field}: expected "):
+        Config(**{field: value})
+
+
 def test_default_hash_is_pinned():
     # cache keys and the predict-time hash check depend on this value
     assert Config().hash == "b97df0cab774"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pcqkit import spatial
-from pcqkit.cloud import PointCloud
+from pcqkit.cloud import PointCloud, bounding_box
 from pcqkit.spatial import Neighbors, build_index
 from pcqkit.surface import SurfaceFit, estimate_normals, fit_local_surfaces
 
@@ -54,6 +54,28 @@ def test_estimate_normals_oriented_outward_from_centroid():
     assert normals.shape == (2000, 3)
     dots = np.einsum("ij,ij->i", normals, direction)
     assert (dots > 0).mean() > 0.99
+
+
+@pytest.mark.parametrize("budget", [spatial._BLOCK_BUDGET, 60])
+def test_normals_at_a_subset_of_rows_equal_the_whole_cloud(budget,
+                                                            monkeypatch):
+    # a sheet snapped to a coarse grid (coincident points, plane fallbacks
+    # and degenerate rows), asked at the points of its low-x third alone
+    sheet = surface_cloud(1500, seed=12)
+    cloud = PointCloud(np.round(sheet.positions / 8.0) * 8.0)
+    index = build_index(cloud)
+    whole = estimate_normals(cloud, index.radius_batch(cloud.positions,
+                                                       12.0))
+    rows = np.flatnonzero(cloud.positions[:, 0] < 70.0)
+    monkeypatch.setattr(spatial, "_BLOCK_BUDGET", budget)
+    part = estimate_normals(
+        cloud, index.radius_batch(cloud.positions[rows], 12.0), rows)
+    assert np.array_equal(part, whole[rows])
+    # the sign is taken against the whole cloud's centroid: against the
+    # subset's own, some of these normals would flip
+    own = bounding_box(PointCloud(cloud.positions[rows])).centroid
+    outward = np.einsum("ij,ij->i", part, cloud.positions[rows] - own)
+    assert (outward < 0.0).any()
 
 
 def test_degenerate_neighborhood_falls_back():
