@@ -12,6 +12,7 @@ a regressor, and serialize to JSON.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,17 +66,20 @@ class RidgeRegression:
 
     def fit(self, X, y):
         X, y = check_paired(X, y)
+        alpha = float(self.alpha)
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
         x_mean = X.mean(axis=0)
         y_mean = y.mean()
         xc = X - x_mean
         yc = y - y_mean
         gram = xc.T @ xc
-        if self.alpha == 0.0:
+        if alpha == 0.0:
             if np.linalg.matrix_rank(gram) < gram.shape[0]:
                 raise SingularSystem(
                     "alpha = 0 with rank-deficient features")
         else:
-            gram = gram + self.alpha * np.eye(X.shape[1])
+            gram = gram + alpha * np.eye(X.shape[1])
         self.coef_ = np.linalg.solve(gram, xc.T @ yc)
         self.intercept_ = float(y_mean - x_mean @ self.coef_)
         return self
@@ -117,52 +121,79 @@ class RbfSvr:
 
     def fit(self, X, y):
         X, y = check_paired(X, y)
-        C, eps = float(self.C), float(self.epsilon)
+        C, eps, tol = float(self.C), float(self.epsilon), float(self.tol)
+        max_iter = self.max_iter
         if not C > 0:
             raise ValueError(f"C must be > 0, got {C}")
+        if not 0 <= eps < math.inf:
+            raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be finite and > 0, got {tol}")
+        if (not isinstance(max_iter, numbers.Integral)
+                or isinstance(max_iter, bool) or max_iter < 1):
+            raise ValueError(
+                f"max_iter must be an integer >= 1, got {max_iter!r}")
         n = X.shape[0]
         var = X.var()
         gamma = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
         K = rbf_kernel(X, X, gamma)
+        # row k is column k of K, read contiguously
+        K_cols = np.ascontiguousarray(K.T)
+        diag = K.diagonal().tolist()
 
         # z = (alpha, alpha*) and beta = alpha - alpha*. A step of t raises
         # beta at i % n and lowers it at j % n; i is an alpha below C or an
-        # alpha* above 0, j an alpha above 0 or an alpha* below C
-        z = np.zeros(2 * n)
-        alpha, alpha_s = z[:n], z[n:]
-        beta = np.zeros(n)
+        # alpha* above 0, j an alpha above 0 or an alpha* below C. The step
+        # scalars are Python floats, and each mask changes only where z did
+        z = [0.0] * (2 * n)
+        beta = [0.0] * n
+        up = np.arange(2 * n) < n    # at z = 0 only the alphas, as C > 0
+        low = ~up
         f_raw = np.zeros(n)          # K @ beta, maintained incrementally
+        # minus the dual gradient along beta, per block: -(f_raw + eps - y)
+        # and y - (f_raw - eps). One subtraction lhs - rhs, with lhs =
+        # (f_raw + eps, y) and rhs = (y, f_raw - eps), gives both; the alpha
+        # block is then negated, so that an exact zero there is -0.0
+        lhs = np.concatenate([y, y])
+        rhs = lhs.copy()
+        score = np.empty(2 * n)
+        f_plus, f_minus, score_alpha = lhs[:n], rhs[n:], score[:n]
         gap = math.inf
 
-        for _ in range(int(self.max_iter)):
-            # minus the dual gradient along beta, per block
-            score = np.concatenate([-(f_raw + eps - y), -f_raw + eps + y])
-            up = np.concatenate([alpha < C, alpha_s > 0])
-            low = np.concatenate([alpha > 0, alpha_s < C])
+        for _ in range(max_iter):
+            np.add(f_raw, eps, out=f_plus)
+            np.subtract(f_raw, eps, out=f_minus)
+            np.subtract(lhs, rhs, out=score)
+            np.negative(score_alpha, out=score_alpha)
             # masked, so an index outside a side never wins
             up_score = np.where(up, score, -np.inf)
             low_score = np.where(low, score, np.inf)
-            i, j = int(np.argmax(up_score)), int(np.argmin(low_score))
-            m, big = up_score[i], low_score[j]
+            i, j = int(up_score.argmax()), int(low_score.argmin())
+            m, big = up_score.item(i), low_score.item(j)
             gap = m - big
-            if gap <= self.tol:
+            if gap <= tol:
                 break
 
             ii, jj = i % n, j % n
             # the Newton step gap / curvature, clipped to the box
-            a = max(K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj], 1e-12)
+            a = max(diag[ii] + diag[jj] - 2.0 * K.item(ii, jj), 1e-12)
             t = min(gap / a, C - z[i] if i < n else z[i],
                     z[j] if j < n else C - z[j])
             z[i] += t if i < n else -t
             z[j] -= t if j < n else -t
+            for k in (i, j):
+                below_C, above_0 = z[k] < C, z[k] > 0
+                up[k], low[k] = ((below_C, above_0) if k < n
+                                 else (above_0, below_C))
             beta[ii] += t
             beta[jj] -= t
-            f_raw += K[:, ii] * t - K[:, jj] * t
+            f_raw += K_cols[ii] * t - K_cols[jj] * t
         else:
             raise NonConvergence(
                 f"SMO did not reach tol={self.tol} within "
-                f"{self.max_iter} iterations (gap {gap:.3e})")
+                f"{max_iter} iterations (gap {gap:.3e})")
 
+        beta = np.array(beta)
         self.intercept_ = float((m + big) / 2.0)
         self.gap_ = float(gap)
         self.gamma_ = gamma

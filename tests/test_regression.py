@@ -83,6 +83,13 @@ def test_ridge_matches_iterative_solver():
     assert worst < 1e-6
 
 
+@pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+def test_ridge_refuses_out_of_range_alpha(alpha):
+    with pytest.raises(ValueError, match="^alpha must be finite and >= 0"):
+        RidgeRegression(alpha=alpha).fit([[1.0], [2.0], [3.0]],
+                                         [2.0, 4.0, 6.0])
+
+
 def test_ridge_singular_without_regularization():
     X = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])  # duplicate direction
     with pytest.raises(SingularSystem):
@@ -167,12 +174,35 @@ def test_svr_no_support_vectors_predicts_intercept():
     assert np.allclose(model.predict([[0.0], [99.0]]), model.intercept_)
 
 
-@pytest.mark.parametrize("C", [0.0, -1.0, float("nan")])
-def test_svr_refuses_non_positive_C(C):
+# what RbfSvr.fit requires of each hyperparameter, as its error says it
+_SVR_RANGES = {"C": "> 0", "epsilon": "finite and >= 0",
+               "tol": "finite and > 0", "max_iter": "an integer >= 1"}
+
+
+@pytest.mark.parametrize("param, value", [
+    ("C", 0.0), ("C", -1.0), ("C", float("nan")),
+    ("epsilon", -0.1), ("epsilon", float("nan")), ("epsilon", float("inf")),
+    ("tol", 0.0), ("tol", -1e-3), ("tol", float("nan")),
+    ("tol", float("inf")),
+    ("max_iter", 2.7), ("max_iter", 5.0), ("max_iter", 0), ("max_iter", -3),
+    ("max_iter", True),
+])
+def test_svr_refuses_out_of_range_hyperparameters(param, value):
+    # refused before any step, so a bad tol does not run max_iter steps
     rng = np.random.default_rng(5)
     X, y = _svr_problem(rng, n=30)
-    with pytest.raises(ValueError, match="^C must be > 0"):
-        RbfSvr(C=C, epsilon=0.05).fit(X, y)
+    params = {"C": 1.0, "epsilon": 0.05} | {param: value}
+    with pytest.raises(ValueError,
+                       match=f"^{param} must be {_SVR_RANGES[param]}"):
+        RbfSvr(**params).fit(X, y)
+
+
+def test_svr_takes_a_numpy_integer_max_iter():
+    rng = np.random.default_rng(5)
+    X, y = _svr_problem(rng, n=30)
+    a = RbfSvr(max_iter=np.int64(5000)).fit(X, y)
+    b = RbfSvr(max_iter=5000).fit(X, y)
+    assert np.array_equal(a._beta_full, b._beta_full)
 
 
 def test_svr_nonconvergence():
@@ -180,6 +210,145 @@ def test_svr_nonconvergence():
     X, y = _svr_problem(rng, n=40)
     with pytest.raises(NonConvergence):
         RbfSvr(C=10.0, epsilon=0.001, max_iter=3).fit(X, y)
+
+
+def _smo_oracle(X, y, C=1.0, epsilon=0.1, tol=1e-3):
+    """The SMO loop as first written, with fresh scores and masks each step.
+
+    RbfSvr.fit keeps its buffers across steps and must reach the same bits.
+    Returns beta, the intercept, the final gap and the number of steps.
+    """
+    n = X.shape[0]
+    var = X.var()
+    gamma = 1.0 / (X.shape[1] * var) if var > 0 else 1.0
+    K = rbf_kernel(X, X, gamma)
+    C, eps = float(C), float(epsilon)
+    z = np.zeros(2 * n)
+    alpha, alpha_s = z[:n], z[n:]
+    beta = np.zeros(n)
+    f_raw = np.zeros(n)
+    steps = 0
+    while True:
+        score = np.concatenate([-(f_raw + eps - y), -f_raw + eps + y])
+        up = np.concatenate([alpha < C, alpha_s > 0])
+        low = np.concatenate([alpha > 0, alpha_s < C])
+        up_score = np.where(up, score, -np.inf)
+        low_score = np.where(low, score, np.inf)
+        i, j = int(np.argmax(up_score)), int(np.argmin(low_score))
+        m, big = up_score[i], low_score[j]
+        gap = m - big
+        if gap <= tol:
+            return beta, float((m + big) / 2.0), float(gap), steps
+        steps += 1
+        ii, jj = i % n, j % n
+        a = max(K[ii, ii] + K[jj, jj] - 2.0 * K[ii, jj], 1e-12)
+        t = min(gap / a, C - z[i] if i < n else z[i],
+                z[j] if j < n else C - z[j])
+        z[i] += t if i < n else -t
+        z[j] -= t if j < n else -t
+        beta[ii] += t
+        beta[jj] -= t
+        f_raw += K[:, ii] * t - K[:, jj] * t
+
+
+def _smo_problems():
+    """(id, X, y, params) of seeded problems for the oracle comparison."""
+    rng = np.random.default_rng(2025)
+
+    def target(X, noise=0.1):
+        return (np.sin(3.0 * X[:, 0]) + 0.5 * X[:, -1]
+                + noise * rng.normal(size=len(X)))
+
+    problems = []
+    inf = float("inf")
+    for n, p, C, eps in [(1, 1, 1.0, 0.1), (2, 1, 0.5, 0.0),
+                         (3, 2, 10.0, 0.01), (7, 12, 1.0, 0.05),
+                         (30, 3, 0.5, 0.1), (60, 5, 10.0, 0.01),
+                         (120, 8, 1.0, 0.1), (200, 1, 0.5, 0.0),
+                         (200, 8, 1.0, 0.1), (200, 12, 10.0, 0.05),
+                         (5, 2, inf, 0.0), (12, 2, inf, 0.0),
+                         (40, 2, inf, 0.05), (90, 3, inf, 0.2)]:
+        X = rng.uniform(size=(n, p))
+        noise = 0.0 if C == inf else 0.1
+        problems.append((f"n{n}-p{p}-C{C}-eps{eps}", X, target(X, noise),
+                         {"C": C, "epsilon": eps}))
+
+    # duplicated rows: with their own targets, with equal targets, and a
+    # single position repeated (zero variance, so gamma = 1)
+    half = rng.uniform(size=(50, 4))
+    X = np.vstack([half, half])
+    problems.append(("duplicated-rows", X, target(X), {"C": 1.0}))
+    y = target(half)
+    problems.append(("duplicated-rows-and-targets", X,
+                     np.concatenate([y, y]), {"C": 10.0, "epsilon": 0.01}))
+    X = np.ones((9, 3))
+    problems.append(("one-position", X, target(rng.uniform(size=(9, 2))),
+                     {"C": 0.5}))
+
+    # y = (eps, -eps) at f = 0: the alpha score of row 0 is -0.0 and the
+    # alpha* score of row 1 is +0.0, so the fit stops before its first
+    # step with a gap of -0.0
+    X = np.array([[0.0], [1.0]])
+    problems.append(("zero-gap", X, np.array([0.1, -0.1]), {}))
+
+    # an epsilon wider than the spread of y: no step, no support vector
+    X = rng.uniform(size=(40, 3))
+    problems.append(("no-support-vector", X, target(X), {"epsilon": 10.0}))
+
+    # column prefixes of a min-max-scaled table, as RFE fits them
+    latent = rng.normal(size=200)
+    table = (latent[:, None]
+             + rng.normal(size=(200, 12)) * np.linspace(0.2, 0.8, 12))
+    table = MinMaxScaler().fit_transform(1.0 / (1.0 + np.exp(-table)))
+    mos = 1.0 + 4.0 / (1.0 + np.exp(-latent)) + 0.1 * rng.normal(size=200)
+    for p in range(1, 13):
+        problems.append((f"table-prefix-{p}", table[:, :p], mos, {}))
+    return problems
+
+
+_SMO_PROBLEMS = _smo_problems()
+
+
+def _bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+@pytest.mark.parametrize("X, y, params", [p[1:] for p in _SMO_PROBLEMS],
+                         ids=[p[0] for p in _SMO_PROBLEMS])
+def test_smo_equals_the_allocating_loop_bit_for_bit(X, y, params):
+    beta, intercept, gap, steps = _smo_oracle(X, y, **params)
+    model = RbfSvr(**params).fit(X, y)
+    sv = beta != 0.0
+    expected = {"_beta_full": beta, "dual_coef_": beta[sv],
+                "support_vectors_": X[sv], "intercept_": intercept,
+                "gap_": gap}
+    for name, value in expected.items():
+        assert type(getattr(model, name)) is type(value), name
+        assert _bits(getattr(model, name)) == _bits(value), name
+    # the same number of steps: one fewer iteration is not enough
+    if steps:
+        with pytest.raises(NonConvergence):
+            RbfSvr(**params, max_iter=steps).fit(X, y)
+    RbfSvr(**params, max_iter=steps + 1).fit(X, y)
+
+
+def test_smo_problems_reach_every_case():
+    # a guard on the table above: a fit holds support vectors at the box
+    # and free ones, only the single row, the zero gap and the wide
+    # epsilon take no step, and the largest problem has 200 rows
+    steps = {}
+    for name, X, y, params in _SMO_PROBLEMS:
+        beta, _, gap, steps[name] = _smo_oracle(X, y, **params)
+        if name == "zero-gap":
+            assert str(gap) == "-0.0"
+        C = params.get("C", 1.0)
+        if name == "n200-p8-C1.0-eps0.1":
+            assert np.any(np.abs(beta) == C)
+            assert np.any((beta != 0.0) & (np.abs(beta) < C))
+    assert {name for name in steps if steps[name] == 0} == {
+        "n1-p1-C1.0-eps0.1", "zero-gap", "no-support-vector"}
+    assert max(X.shape[0] for _, X, _, _ in _SMO_PROBLEMS) == 200
 
 
 # ---------------------------------------------------------------------------
