@@ -26,6 +26,7 @@ import numpy as np
 from ..cloud import PointCloud, bounding_box
 from ..colorspace import rgb_to_gaussian
 from ..errors import AllKeypointsEmpty, InvalidCloud
+from ..spatial import Neighbors
 
 SIM_KINDS = ("mg", "ug", "cg")
 
@@ -207,6 +208,8 @@ class GraphSimReference:
     centroid: np.ndarray    # bounding-box centroid of the reference
     features: list          # features[s]: GraphFeatures of every keypoint
                             # at scale s
+    members: Neighbors      # the reference points within radius of each
+                            # keypoint, sorted by distance
 
 
 def graphsim_reference(ref: PointCloud, index, knn,
@@ -241,7 +244,7 @@ def graphsim_reference(ref: PointCloud, index, knn,
                                s, centroid, config.graphsim_smoothing)
                 for s in scales]
     return GraphSimReference(float(radius), keypoints, centers, centroid,
-                             features)
+                             features, members)
 
 
 def msgraphsim_score(plan) -> GraphSimScore:

@@ -51,7 +51,8 @@ class ReferenceContext:
     (distance, index), so its first j columns equal a j-query.
 
     geometry is a context of the same positions, whose kd-tree, self
-    k-NN and estimated normals this one reuses.
+    k-NN, estimated normals and geometry PointSSIM field this one
+    reuses.
     """
 
     cloud: PointCloud
@@ -115,6 +116,8 @@ class ReferenceContext:
     @cached_property
     def geometry_dispersion(self) -> np.ndarray:
         """(n,) PointSSIM field of neighbour distances; needs no colours."""
+        if self.geometry:
+            return self.geometry.geometry_dispersion
         return extract_dispersion(self.cloud, self.knn, "geometry",
                                   self.config)
 
@@ -228,8 +231,10 @@ class PairPlan:
     @cached_property
     def graphsim_neighbors(self):
         """The dist points within the graph radius of every keypoint,
-        sorted by distance."""
+        sorted by distance (with shared geometry, the reference's)."""
         graphsim = self.reference.graphsim
+        if self.distorted.geometry:
+            return graphsim.members
         return self.distorted.index.radius_batch(
             self.ref.positions[graphsim.keypoints], graphsim.radius,
             sort_by_distance=True)

@@ -189,9 +189,13 @@ class RbfSvr:
             beta[jj] -= t
             f_raw += K_cols[ii] * t - K_cols[jj] * t
         else:
+            hint = ("; with C = inf the epsilon-tube is hard, and it has no "
+                    "solution when the targets lie farther than epsilon "
+                    "from every fit: try a finite C"
+                    if C == math.inf else "")
             raise NonConvergence(
                 f"SMO did not reach tol={self.tol} within "
-                f"{max_iter} iterations (gap {gap:.3e})")
+                f"{max_iter} iterations (gap {gap:.3e}){hint}")
 
         beta = np.array(beta)
         self.intercept_ = float((m + big) / 2.0)

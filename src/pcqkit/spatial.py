@@ -3,11 +3,14 @@
 A kd-tree (scipy.spatial.cKDTree) finds candidates; distances are then
 recomputed with one canonical formula and ties are broken by ascending
 point index, so results are exact and fully deterministic regardless of
-tree internals.
+tree internals. k-NN rows that may tie are resolved over the cloud's
+distinct positions, taking at most k candidates from each, so a crowd
+of coincident points costs a row no more than k points do.
 """
 
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -19,9 +22,10 @@ __all__ = ["Neighbors", "SpatialIndex", "build_index"]
 
 _BLOCK_ROWS = 4096   # query rows per tree call: bounds one block's pairs
 # neighbors per Neighbors.blocks block, each row counting as 4 more: a
-# quadric fit's temporaries take about 220 B a neighbor and 900 B a row,
-# so a block of fits stays near 60 MB and one of PCQM statistics below
-_BLOCK_BUDGET = 2 ** 18
+# quadric fit's temporaries take about 120 B a neighbor and 330 B a row,
+# PCQM statistics about 140 B a neighbor and 170 B a row, so a block of
+# either stays near 4.5 MB. Larger blocks were no faster on 5e4 points
+_BLOCK_BUDGET = 2 ** 15
 
 
 def _distances(positions, query):
@@ -103,14 +107,13 @@ class SpatialIndex:
         idx, dst = (np.take_along_axis(a, order, 1) for a in (idx, dst))
         if k_eff < self.n:
             # no point the tree left out is nearer than its (k+1)-th, so only
-            # rows where that is within ulps of the k-th may hide a tie; they
-            # take every point to the k-th, and extras sort behind the first k
+            # rows where that is within ulps of the k-th may hide a tie; the
+            # k-th distance bounds where their first k can lie
             ask = dst[:, k_eff - 1] * (1.0 + 1e-9)
             tie = np.flatnonzero(~(dst[:, k_eff] > ask))
-            nbrs = self._query(queries[tie], ask[tie], np.inf, True)
-            take = nbrs.offsets[:-1, None] + np.arange(k_eff)
-            idx[tie, :k_eff] = nbrs.indices[take]
-            dst[tie, :k_eff] = nbrs.distances[take]
+            if len(tie):
+                idx[tie, :k_eff], dst[tie, :k_eff] = self._ties(
+                    queries[tie], ask[tie], k_eff)
         return idx[:, :k_eff].copy(), dst[:, :k_eff].copy()
 
     def radius_batch(self, queries, radius, sort_by_distance=False):
@@ -125,8 +128,24 @@ class SpatialIndex:
             raise ValueError("radius must be non-negative")
         # over-ask, then trim against the canonical distance so inclusion
         # at exactly r does not depend on the tree's internal rounding
-        return self._query(queries, radius * (1.0 + 1e-9) + 1e-300, radius,
-                           sort_by_distance)
+        ask, keep = (np.broadcast_to(a, len(queries))
+                     for a in (radius * (1.0 + 1e-9) + 1e-300, radius))
+        parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
+        for lo in range(0, len(queries), _BLOCK_ROWS):
+            block = queries[lo:lo + _BLOCK_ROWS]
+            row, idx, dst = _within(self._tree, self.positions, block,
+                                    ask[lo:lo + _BLOCK_ROWS])
+            inside = dst <= keep[lo + row]
+            idx, dst, row = idx[inside], dst[inside], row[inside]
+            if sort_by_distance:
+                # complex keys sort by row, then distance, and the stable sort
+                # keeps ties in index order; lexsort((dst, row)) gives the same
+                # order but sorts every distance first, several times slower
+                order = np.argsort(row + 1j * dst, kind="stable")
+                idx, dst = idx[order], dst[order]
+            parts.append((idx, dst, np.bincount(row, minlength=len(block))))
+        idx, dst, counts = (np.concatenate(part) for part in zip(*parts))
+        return Neighbors(idx, dst, np.concatenate(([0], np.cumsum(counts))))
 
     def nearest_batch(self, queries):
         """Single nearest neighbor per query, ties by ascending index."""
@@ -140,35 +159,71 @@ class SpatialIndex:
         _, dst = self.knn_batch(self.positions, 2)
         return float(dst[:, 1].mean())
 
-    def _query(self, queries, ask, keep, sort_by_distance):
-        """Rows of neighbors within ask by the tree's metric and within keep
-        by the canonical distance, in index or (distance, index) order."""
-        ask, keep = (np.broadcast_to(a, len(queries)) for a in (ask, keep))
-        parts = [(np.empty(0, np.int64), np.empty(0), np.empty(0, np.int64))]
+    @cached_property
+    def _distinct(self):
+        """(tree, positions, order, starts) of the cloud's distinct
+        positions: the points at distinct position j are
+        order[starts[j]:starts[j + 1]], in ascending index."""
+        unique, inverse = np.unique(self.positions, axis=0,
+                                    return_inverse=True)
+        inverse = inverse.reshape(-1)
+        starts = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
+        return (cKDTree(unique), unique,
+                np.argsort(inverse, kind="stable"), starts)
+
+    def _ties(self, queries, ask, k):
+        """(indices, distances) of the first k points of each query row by
+        (distance, index), each row's k-th distance at most its ask.
+
+        Coincident points lie at one canonical distance, bit for bit, so a
+        distinct position within ask stands for its first k points alone;
+        those of distinct positions at one distance merge by index. Equal
+        query rows are answered once, and each block of rows keeps only
+        its first k before the next block is asked.
+        """
+        tree, unique, order, starts = self._distinct
+        queries, first, inverse = np.unique(
+            queries, axis=0, return_index=True, return_inverse=True)
+        ask = ask[first]
+        idx = np.empty((len(queries), k), np.int64)
+        dst = np.empty((len(queries), k))
         for lo in range(0, len(queries), _BLOCK_ROWS):
-            block, reach = queries[lo:lo + _BLOCK_ROWS], ask[lo:lo + _BLOCK_ROWS]
-            # rows ask the tree together only where their asks share a binary
-            # exponent, so one row's large ask cannot widen the others' reach
-            scale, keys = np.frexp(reach + 1e-300)[1], []
-            for s in np.unique(scale):
-                sub = np.flatnonzero(scale == s)
-                pairs = self._tree.sparse_distance_matrix(
-                    cKDTree(block[sub]), reach[sub].max(), output_type="ndarray")
-                row = sub[pairs["j"]]
-                keys.append((row * self.n + pairs["i"])[pairs["v"] <= reach[row]])
-            row, idx = np.divmod(np.sort(np.concatenate(keys)), self.n)
-            dst = _distances(self.positions.take(idx, 0), block.take(row, 0))
-            inside = dst <= keep[lo + row]
-            idx, dst, row = idx[inside], dst[inside], row[inside]
-            if sort_by_distance:
-                # complex keys sort by row, then distance, and the stable sort
-                # keeps ties in index order; lexsort((dst, row)) gives the same
-                # order but sorts every distance first, several times slower
-                order = np.argsort(row + 1j * dst, kind="stable")
-                idx, dst = idx[order], dst[order]
-            parts.append((idx, dst, np.bincount(row, minlength=len(block))))
-        idx, dst, counts = (np.concatenate(part) for part in zip(*parts))
-        return Neighbors(idx, dst, np.concatenate(([0], np.cumsum(counts))))
+            block = queries[lo:lo + _BLOCK_ROWS]
+            row, pos, d = _within(tree, unique, block,
+                                  ask[lo:lo + _BLOCK_ROWS])
+            take = np.minimum(starts[pos + 1] - starts[pos], k)
+            row, d = np.repeat(row, take), np.repeat(d, take)
+            # the first take points of each run: its start plus the place
+            # within the run
+            ends = np.cumsum(take)
+            members = order[np.repeat(starts[pos] - ends + take, take)
+                            + np.arange(len(row))]
+            ranked = np.lexsort((members, d, row))
+            counts = np.bincount(row, minlength=len(block))
+            keep = ranked[(np.cumsum(counts) - counts)[:, None]
+                          + np.arange(k)]
+            idx[lo:lo + _BLOCK_ROWS], dst[lo:lo + _BLOCK_ROWS] = (
+                members[keep], d[keep])
+        inverse = inverse.reshape(-1)
+        return idx[inverse], dst[inverse]
+
+
+def _within(tree, positions, block, reach):
+    """(row, index, distance) of each point of tree within reach[row] of a
+    row of block by the tree's metric, in (row, index) order, with
+    canonical distances; positions are the points of tree."""
+    n = len(positions)
+    # rows ask the tree together only where their asks share a binary
+    # exponent, so one row's large ask cannot widen the others' reach
+    scale, keys = np.frexp(reach + 1e-300)[1], []
+    for s in np.unique(scale):
+        sub = np.flatnonzero(scale == s)
+        pairs = tree.sparse_distance_matrix(
+            cKDTree(block[sub]), reach[sub].max(), output_type="ndarray")
+        row = sub[pairs["j"]]
+        keys.append((row * n + pairs["i"])[pairs["v"] <= reach[row]])
+    row, idx = np.divmod(np.sort(np.concatenate(keys)), n)
+    return row, idx, _distances(positions.take(idx, 0), block.take(row, 0))
 
 
 def build_index(cloud) -> SpatialIndex:

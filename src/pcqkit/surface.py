@@ -82,7 +82,7 @@ def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
 
     d = np.take(points, flat, axis=0)
     mean = np.add.reduceat(d, seg_starts, axis=0) / seg_counts[:, None]
-    d -= mean[np.repeat(np.arange(len(sel)), seg_counts)]
+    d -= np.repeat(mean, seg_counts, axis=0)
 
     # neighborhood covariance and PCA frame; each stage frees its per-row
     # arrays before the next allocates, which the block budget counts on
@@ -104,26 +104,37 @@ def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
     quad = np.flatnonzero(enough)
     if len(quad) == 0:
         return
-    d = d[np.repeat(enough, seg_counts)]
-    seg_counts = seg_counts[quad]
-    seg_starts = np.cumsum(seg_counts) - seg_counts
+    if len(quad) < len(sel):
+        d = d[np.repeat(enough, seg_counts)]
+        seg_counts = seg_counts[quad]
+        seg_starts = np.cumsum(seg_counts) - seg_counts
 
     # local frame: x, y span the plane, z along the smallest eigenvector;
     # "kij,ki->kj" contracts over rows, i.e. multiplies by frame transpose.
-    # d stays row-major: on a transposed view einsum sums in another order.
+    # The layout of both operands decides einsum's order of summation: d
+    # stays row-major, and each neighbor's frame is repeated from the
+    # C-contiguous transpose of frame, whose own strides it then keeps
     frame = eigvec[quad][:, :, [2, 1, 0]]
-    local = np.einsum("kij,ki->kj",
-                      frame[np.repeat(np.arange(len(quad)), seg_counts)], d)
+    local = np.einsum("kij,ki->kj", np.repeat(np.ascontiguousarray(
+        frame.transpose(0, 2, 1)), seg_counts, axis=0).transpose(0, 2, 1), d)
     c_local = np.einsum("kij,ki->kj", frame, centers[sel[quad]] - mean[quad])
     del d
 
-    terms = np.empty((3 + len(_PRODUCTS), len(local)))
+    # the term rows x, y, z, xx, xy, yy are held, and each later product
+    # is summed as soon as it is made, so no block holds all 23 rows
+    terms = np.empty((6, len(local)))
     terms[:3] = local.T
     del local
-    for row, (p, q) in enumerate(_PRODUCTS, start=3):
+    sums = np.empty((3 + len(_PRODUCTS) + 1, len(quad)))
+    for row, (p, q) in enumerate(_PRODUCTS[:3], start=3):
         np.multiply(terms[p], terms[q], out=terms[row])
-    sums = np.vstack([np.add.reduceat(terms, seg_starts, axis=1), seg_counts])
-    del terms
+    np.add.reduceat(terms, seg_starts, axis=1, out=sums[:6])
+    product = np.empty(terms.shape[1])
+    for row, (p, q) in enumerate(_PRODUCTS[3:], start=6):
+        np.multiply(terms[p], terms[q], out=product)
+        np.add.reduceat(product, seg_starts, out=sums[row])
+    del terms, product
+    sums[-1] = seg_counts
     ata = np.ascontiguousarray(sums.T[:, _ATA])
     atb = sums[_ATB].T
 

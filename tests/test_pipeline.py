@@ -320,11 +320,11 @@ def test_each_query_runs_once_per_pair(monkeypatch):
     assert count(lambda: compute_pair_metrics(ref, dist)) == (2, 4, 6)
     assert count(lambda: compute_d1(PairPlan.build(ref, dist))) == (2, 2, 0)
     # a colour-only dist shares the reference's kd-tree, self k-NN,
-    # nearest matches, normals and PCQM surface: only the GraphSIM
-    # keypoint query of the dist is left
+    # nearest matches, normals, PCQM surface and GraphSIM keypoint
+    # neighbourhoods: it makes no query of its own
     recoloured = jitter(ref, 0.0, seed=11, color_sigma=4.0)
     assert count(lambda: compute_pair_metrics(reference, recoloured)) \
-        == (0, 0, 1)
+        == (0, 0, 0)
 
 
 def test_runs_group_by_reference_and_fill_every_worker():

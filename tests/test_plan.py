@@ -1,7 +1,8 @@
 """A PairPlan's shortcuts against the long way round, bit for bit.
 
 A colour-only distortion shares the reference's geometry: its kd-tree,
-self k-NN, nearest matches, PCQM surface and D2 normals are the
+self k-NN, nearest matches, PCQM surface, D2 normals, geometry
+PointSSIM field and GraphSIM keypoint neighbourhoods are the
 reference's. D2 fits the dist normals only where a ref point is matched.
 """
 
@@ -102,6 +103,21 @@ def test_shared_d2_normals_equal_their_own_estimate():
     assert np.array_equal(plan.distorted.normals_at(rows), want[rows])
     assert np.array_equal(plan.distorted.normals_at(np.arange(len(dist))),
                           want)
+
+
+def test_shared_graphsim_neighbours_and_dispersion_equal_their_own():
+    ref = _quantised()
+    plan = PairPlan.build(ref, _recoloured(ref))
+    own = _unshared(plan)
+    got, want = plan.graphsim_neighbors, own.graphsim_neighbors
+    assert got is plan.reference.graphsim.members
+    for name in ("indices", "distances", "offsets"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
+    assert plan.distorted.geometry_dispersion is \
+        plan.reference.geometry_dispersion
+    assert np.array_equal(plan.distorted.geometry_dispersion,
+                          own.distorted.geometry_dispersion)
 
 
 def test_every_metric_equals_the_unshared_plan():

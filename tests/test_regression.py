@@ -212,6 +212,30 @@ def test_svr_nonconvergence():
         RbfSvr(C=10.0, epsilon=0.001, max_iter=3).fit(X, y)
 
 
+def _noisy_sine(n=40, seed=7):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(n, 1))
+    return X, np.sin(3.0 * X[:, 0]) + rng.normal(0.0, 0.2, n)
+
+
+def test_svr_with_infinite_c_says_why_it_did_not_converge():
+    # noise of 0.2 against a tube of 0.01: no fit keeps every target in
+    # the tube, so SMO only stops at max_iter
+    X, y = _noisy_sine()
+    with pytest.raises(NonConvergence, match="iterations") as caught:
+        RbfSvr(C=float("inf"), epsilon=0.01, max_iter=50).fit(X, y)
+    assert "with C = inf the epsilon-tube is hard" in str(caught.value)
+    assert str(caught.value).endswith("try a finite C")
+
+
+def test_svr_with_finite_c_keeps_the_plain_message():
+    X, y = _noisy_sine()
+    with pytest.raises(NonConvergence,
+                       match=r"^SMO did not reach tol=0\.001 within 50 "
+                             r"iterations \(gap [0-9.e+-]+\)$"):
+        RbfSvr(C=10.0, epsilon=0.01, max_iter=50).fit(X, y)
+
+
 def _smo_oracle(X, y, C=1.0, epsilon=0.1, tol=1e-3):
     """The SMO loop as first written, with fresh scores and masks each step.
 
