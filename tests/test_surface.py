@@ -56,7 +56,9 @@ def test_estimate_normals_oriented_outward_from_centroid():
     assert (dots > 0).mean() > 0.99
 
 
-@pytest.mark.parametrize("budget", [spatial._BLOCK_BUDGET, 60])
+# 2 ** 18, the budget before it fell to 2 ** 15, fits every case here in
+# one block; the default and 60 split them into several and into many
+@pytest.mark.parametrize("budget", [2 ** 18, spatial._BLOCK_BUDGET, 60])
 def test_normals_at_a_subset_of_rows_equal_the_whole_cloud(budget,
                                                             monkeypatch):
     # a sheet snapped to a coarse grid (coincident points, plane fallbacks
@@ -231,7 +233,7 @@ FIT_CASES = {
 }
 
 
-@pytest.mark.parametrize("chunk", [spatial._BLOCK_BUDGET, 60])
+@pytest.mark.parametrize("chunk", [2 ** 18, spatial._BLOCK_BUDGET, 60])
 @pytest.mark.parametrize("case", list(FIT_CASES))
 def test_feature_major_equals_row_major_kernel(case, chunk, monkeypatch):
     points, neighbors, centers = FIT_CASES[case]()
