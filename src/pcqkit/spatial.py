@@ -22,9 +22,9 @@ __all__ = ["Neighbors", "SpatialIndex", "build_index"]
 
 _BLOCK_ROWS = 4096   # query rows per tree call: bounds one block's pairs
 # neighbors per Neighbors.blocks block, each row counting as 4 more: a
-# quadric fit's temporaries take about 120 B a neighbor and 330 B a row,
+# quadric fit's temporaries take about 210 B a neighbor and 570 B a row,
 # PCQM statistics about 140 B a neighbor and 170 B a row, so a block of
-# either stays near 4.5 MB. Larger blocks were no faster on 5e4 points
+# either stays under 7 MB. Larger blocks were no faster on 5e4 points
 _BLOCK_BUDGET = 2 ** 15
 
 
@@ -105,6 +105,7 @@ class SpatialIndex:
         dst = _distances(self.positions.take(idx, 0), queries[:, None])
         order = np.lexsort((idx, dst))
         idx, dst = (np.take_along_axis(a, order, 1) for a in (idx, dst))
+        del order   # freed before any tie row gathers candidates
         if k_eff < self.n:
             # no point the tree left out is nearer than its (k+1)-th, so only
             # rows where that is within ulps of the k-th may hide a tie; the
@@ -164,12 +165,14 @@ class SpatialIndex:
         """(tree, positions, order, starts) of the cloud's distinct
         positions: the points at distinct position j are
         order[starts[j]:starts[j + 1]], in ascending index."""
-        unique, inverse = np.unique(self.positions, axis=0,
-                                    return_inverse=True)
-        inverse = inverse.reshape(-1)
-        starts = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
-        return (cKDTree(unique), unique,
-                np.argsort(inverse, kind="stable"), starts)
+        order, starts = _equal_rows(self.positions)
+        if len(starts) == self.n + 1:
+            # no coincident points (a lattice ties often): each point is
+            # its own distinct position, so the cloud's own tree serves
+            starts = np.arange(self.n + 1)
+            return self._tree, self.positions, starts[:-1], starts
+        unique = self.positions[order[starts[:-1]]]
+        return cKDTree(unique), unique, order, starts
 
     def _ties(self, queries, ask, k):
         """(indices, distances) of the first k points of each query row by
@@ -181,31 +184,48 @@ class SpatialIndex:
         query rows are answered once, and each block of rows keeps only
         its first k before the next block is asked.
         """
-        tree, unique, order, starts = self._distinct
-        queries, first, inverse = np.unique(
-            queries, axis=0, return_index=True, return_inverse=True)
-        ask = ask[first]
+        same, groups = _equal_rows(queries)
+        first = same[groups[:-1]]
+        queries, ask = queries[first], ask[first]
         idx = np.empty((len(queries), k), np.int64)
         dst = np.empty((len(queries), k))
         for lo in range(0, len(queries), _BLOCK_ROWS):
-            block = queries[lo:lo + _BLOCK_ROWS]
-            row, pos, d = _within(tree, unique, block,
-                                  ask[lo:lo + _BLOCK_ROWS])
-            take = np.minimum(starts[pos + 1] - starts[pos], k)
-            row, d = np.repeat(row, take), np.repeat(d, take)
-            # the first take points of each run: its start plus the place
-            # within the run
-            ends = np.cumsum(take)
-            members = order[np.repeat(starts[pos] - ends + take, take)
-                            + np.arange(len(row))]
-            ranked = np.lexsort((members, d, row))
-            counts = np.bincount(row, minlength=len(block))
-            keep = ranked[(np.cumsum(counts) - counts)[:, None]
-                          + np.arange(k)]
-            idx[lo:lo + _BLOCK_ROWS], dst[lo:lo + _BLOCK_ROWS] = (
-                members[keep], d[keep])
-        inverse = inverse.reshape(-1)
+            rows = slice(lo, lo + _BLOCK_ROWS)
+            idx[rows], dst[rows] = self._first_k(queries[rows], ask[rows], k)
+        inverse = np.empty(len(same), np.int64)
+        inverse[same] = np.repeat(np.arange(len(first)), np.diff(groups))
         return idx[inverse], dst[inverse]
+
+    def _first_k(self, block, ask, k):
+        """_ties for one block of distinct query rows; what it gathers is
+        freed on return, before the next block is asked."""
+        tree, unique, order, starts = self._distinct
+        row, pos, d = _within(tree, unique, block, ask)
+        take = np.minimum(starts[pos + 1] - starts[pos], k)
+        row, d = np.repeat(row, take), np.repeat(d, take)
+        # the first take points of each run: its start plus the place within
+        # the run
+        ends = np.cumsum(take)
+        members = order[np.repeat(starts[pos] - ends + take, take)
+                        + np.arange(len(row))]
+        # (row, index) order first, exactly as no key repeats; the stable
+        # sort by (row, distance) then keeps ties in index order
+        ranked = np.argsort(row * self.n + members, kind="stable")
+        ranked = ranked[np.argsort(row[ranked] + 1j * d[ranked],
+                                   kind="stable")]
+        counts = np.bincount(row, minlength=len(block))
+        keep = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        return members[keep], d[keep]
+
+
+def _equal_rows(points):
+    """(order, starts) of the runs of equal rows of points: run j is
+    order[starts[j]:starts[j + 1]], in ascending index. -0.0 equals 0.0,
+    and the two lie at one canonical distance from any point."""
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    starts = np.flatnonzero((ranked[1:] != ranked[:-1]).any(axis=1)) + 1
+    return order, np.concatenate(([0], starts, [len(points)]))
 
 
 def _within(tree, positions, block, reach):

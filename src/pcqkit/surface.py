@@ -120,21 +120,13 @@ def _fit_chunk(points, block, centers, normals, curvatures, plane_fallback,
     c_local = np.einsum("kij,ki->kj", frame, centers[sel[quad]] - mean[quad])
     del d
 
-    # the term rows x, y, z, xx, xy, yy are held, and each later product
-    # is summed as soon as it is made, so no block holds all 23 rows
-    terms = np.empty((6, len(local)))
+    terms = np.empty((3 + len(_PRODUCTS), len(local)))
     terms[:3] = local.T
     del local
-    sums = np.empty((3 + len(_PRODUCTS) + 1, len(quad)))
-    for row, (p, q) in enumerate(_PRODUCTS[:3], start=3):
+    for row, (p, q) in enumerate(_PRODUCTS, start=3):
         np.multiply(terms[p], terms[q], out=terms[row])
-    np.add.reduceat(terms, seg_starts, axis=1, out=sums[:6])
-    product = np.empty(terms.shape[1])
-    for row, (p, q) in enumerate(_PRODUCTS[3:], start=6):
-        np.multiply(terms[p], terms[q], out=product)
-        np.add.reduceat(product, seg_starts, out=sums[row])
-    del terms, product
-    sums[-1] = seg_counts
+    sums = np.vstack([np.add.reduceat(terms, seg_starts, axis=1), seg_counts])
+    del terms
     ata = np.ascontiguousarray(sums.T[:, _ATA])
     atb = sums[_ATB].T
 

@@ -175,6 +175,29 @@ def test_knn_on_duplicated_lattice_matches_oracle():
             assert tie_rows == 0, k
 
 
+@pytest.mark.parametrize("signed_zero", [False, True])
+def test_knn_on_a_lattice_without_coincident_points(signed_zero):
+    # every lattice point has six neighbours at distance 1, so nearly every
+    # row ties; with no coincident points each point is its own distinct
+    # position and the tie rows ask the cloud's own tree. -0.0 equals 0.0:
+    # a signed-zero copy of the origin coincides with it, as a query and
+    # as a point
+    voxels = np.stack(np.meshgrid(*[np.arange(6.0)] * 3), -1).reshape(-1, 3)
+    points = voxels[np.random.default_rng(4).permutation(len(voxels))]
+    if signed_zero:
+        points = np.vstack([points, [-0.0, 0.0, -0.0]])
+    queries = np.vstack([points, points[:50] + 0.5,
+                         [[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]]])
+    index = build_index(PointCloud(points))
+    for k in (1, 2, 7, 12):
+        idx, dst = index.knn_batch(queries, k)
+        oidx, odst = brute_knn(points, queries, k)
+        assert np.array_equal(idx, oidx) and np.array_equal(dst, odst), k
+    tree, unique, _, _ = index._distinct
+    assert (tree is index._tree) != signed_zero
+    assert len(unique) == len(voxels)
+
+
 def test_zero_query_rows_give_empty_results(small_surface):
     index = build_index(small_surface)
     none = np.empty((0, 3))

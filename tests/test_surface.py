@@ -273,10 +273,10 @@ def test_a_chunk_holds_a_bounded_working_set(k):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one block's temporaries (about 4 MB, see spatial._BLOCK_BUDGET)
-    # with a half to spare, plus the (m,) outputs and cost array (about
-    # 45 B a row); 2^18-neighbour blocks of 220 B a neighbour took 60 MB
-    assert peak < 6e6 + 48 * m, f"peak {peak / 1e6:.0f} MB"
+    # one block's temporaries (about 6.5 MB, see spatial._BLOCK_BUDGET)
+    # with a third to spare, plus the (m,) outputs and cost array (about
+    # 45 B a row); 2^18-neighbour blocks of 210 B a neighbour took 60 MB
+    assert peak < 9e6 + 48 * m, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_reduceat_sums_a_segment_alike_along_either_axis():
@@ -292,19 +292,3 @@ def test_reduceat_sums_a_segment_alike_along_either_axis():
     along_features = np.add.reduceat(a.T.copy(), starts, axis=1).T
     assert np.array_equal(along_rows, along_features)
 
-
-def test_reduceat_sums_a_row_alike_alone_or_among_others():
-    # The kernel sums each later quadric product on its own as soon as it
-    # is made, where it once summed all 23 term rows in one call; its
-    # values stay bit for bit only because a row's segment sums do not
-    # depend on the rows beside it.
-    rng = np.random.default_rng(16)
-    lengths = rng.permutation(np.arange(1, 301))
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    rows = rng.normal(size=(23, lengths.sum())) \
-        * 10.0 ** rng.integers(-6, 7, size=(1, lengths.sum()))
-    together = np.add.reduceat(rows, starts, axis=1)
-    alone = np.empty_like(together)
-    for i, row in enumerate(rows):
-        np.add.reduceat(row.copy(), starts, out=alone[i])
-    assert np.array_equal(together, alone)
