@@ -40,7 +40,7 @@ def _peak(fn):
 
 def test_a_quantised_pair_holds_a_bounded_working_set():
     # about 6 MB; 17.5 MB when the self k-NN gathered every coincident
-    # candidate and the quadric fits held their 23 term rows whole
+    # candidate and the quadric fits took 2^18-neighbour blocks
     ref = surface_cloud(N_POINTS, seed=3, span=SPAN)
     dist = _quantised(ref)
     assert len(np.unique(dist.positions, axis=0)) < N_POINTS / 8
