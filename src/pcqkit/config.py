@@ -4,14 +4,13 @@ Every knob that changes metric values is a semantic field and feeds the
 config hash; operational fields (worker count, cache location, seed) do
 not. Feature tables and saved models carry the hash so mismatched
 settings are caught instead of silently mixed. A Config is immutable and
-refuses a value outside its field's legal range when it is made, so the
-metrics never check their settings.
+refuses a value of the wrong type or outside its field's legal range
+when it is made, so the metrics never check their settings.
 """
 
 import configparser
 import dataclasses
 import hashlib
-import math
 import numbers
 import os
 import typing
@@ -35,26 +34,22 @@ def _one_of(*allowed):
 
 
 _AT_LEAST_0 = (lambda v: v >= 0), "0 or more"
+_AT_LEAST_1 = (lambda v: v >= 1), "1 or more"
 _ABOVE_0 = (lambda v: v > 0), "more than 0"
-_COUNT = (lambda v: type(v) is int and v >= 1), "an integer, 1 or more"
-_NATURAL = (lambda v: type(v) is int and v >= 0), "an integer, 0 or more"
 
-# field -> (test, what is legal); NaN fails every range test
+# field -> (test, what is legal) of a value of the field's type; NaN fails
+# every range test
 _LEGAL = {
     "psnr_ycbcr_matrix": _one_of(*YCBCR_MATRICES),
     "psnr_yuv_symmetric": _one_of("mse", "psnr"),
     "pointssim_estimator": _one_of(*ESTIMATORS),
-    # not a bool nor a float, as PointCloud's own bit_depth
-    "cloud_bit_depth": ((lambda v: v is None or (type(v) is int
-                                                 and 1 <= v <= 32)),
+    "cloud_bit_depth": ((lambda v: v is None or 1 <= v <= 32),
                         "none or an integer from 1 to 32"),
-    "pipeline_jobs": _NATURAL, "pipeline_seed": _NATURAL,
-    "graphsim_n_scales": ((lambda v: type(v) is int and v >= 3),
-                          "an integer, 3 or more"),
-    "graphsim_smoothing": ((lambda v: type(v) is bool), "true or false"),
+    "pipeline_jobs": _AT_LEAST_0, "pipeline_seed": _AT_LEAST_0,
+    "graphsim_n_scales": ((lambda v: v >= 3), "3 or more"),
     "graphsim_keypoint_fraction": ((lambda v: 0 < v <= 1),
                                    "a value in (0, 1]"),
-    "pointssim_k": _COUNT, "graphsim_k": _COUNT,
+    "pointssim_k": _AT_LEAST_1, "graphsim_k": _AT_LEAST_1,
     "pointssim_pooling_exponent": _ABOVE_0,
     "psnr_normal_radius": _AT_LEAST_0,
     "psnr_cap_db": _AT_LEAST_0,
@@ -64,6 +59,31 @@ _LEGAL = {
     **{f"pcqm_k{i}": _AT_LEAST_0 for i in range(1, 9)},
     **{f"graphsim_t_{name}": _ABOVE_0 for name in ("mag", "mean", "cov")},
 }
+
+# a field's type -> the values it takes and what they are called
+_KINDS = {int: (numbers.Integral, "an integer"),
+          float: (numbers.Real, "a number"),
+          str: (str, "a string"), bool: (bool, "true or false")}
+
+
+def _typed(name: str, value, annotation):
+    """value as a field of type annotation holds it, or ConfigMismatch:
+    an int field takes any integer and a float field any real, each but a
+    bool and stored as the Python type, so that it hashes as the equal
+    int or float; a str field takes a str, a bool field a bool, and an
+    Optional field None too."""
+    args = typing.get_args(annotation)
+    if value is None and type(None) in args:
+        return None
+    kind = args[0] if args else annotation
+    accepted, what = _KINDS[kind]
+    # a bool is an integer and a real to isinstance
+    if isinstance(value, accepted) and (
+            kind is bool or not isinstance(value, bool)):
+        return kind(value)
+    if args:
+        what = "none or " + what
+    raise ConfigMismatch(f"{name}: expected {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -100,18 +120,9 @@ class Config:
     pipeline_seed: int = 0
 
     def __post_init__(self):
-        # an int or numpy float would hash apart from the equal float, and
-        # a numpy integer apart from the equal int; no bool is either
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.type is float and type(value) is bool:
-                raise ConfigMismatch(
-                    f"{f.name}: expected a number, got {value!r}")
-            if f.type is float and isinstance(value, (int, float)):
-                object.__setattr__(self, f.name, float(value))
-            if f.name in _INTEGERS and isinstance(
-                    value, numbers.Integral) and type(value) is not bool:
-                object.__setattr__(self, f.name, int(value))
+            object.__setattr__(self, f.name,
+                               _typed(f.name, getattr(self, f.name), f.type))
         for name, (test, what) in _LEGAL.items():
             value = getattr(self, name)
             if not test(value):
@@ -126,35 +137,24 @@ class Config:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-_INTEGERS = {f.name for f in dataclasses.fields(Config)
-             if f.type in (int, Optional[int])}
+# how an INI value is read for each field type
+_PARSERS = {int: int, float: float, str: str,
+            bool: lambda raw: configparser.ConfigParser.BOOLEAN_STATES[
+                raw.lower()]}
 
 
-def _convert(name: str, raw: str, annotation):
-    # Optional[T] parses like T and alone takes None, spelled "none"
+def _convert(raw: str, annotation):
+    # "none" or nothing reads as None, and a value that the field's type
+    # cannot parse stays a string: Config refuses either where its field
+    # does not take it
     raw = raw.strip()
-    args = typing.get_args(annotation)
-    target_type = args[0] if args else annotation
     if raw.lower() in ("", "none"):
-        if type(None) in args:
-            return None
-        raise ConfigMismatch(
-            f"{name}: expected {target_type.__name__}, got {raw!r}")
-    if target_type is bool:
-        lowered = raw.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ConfigMismatch(f"{name}: expected a boolean, got {raw!r}")
+        return None
+    args = typing.get_args(annotation)
     try:
-        value = target_type(raw)
-    except ValueError:
-        raise ConfigMismatch(
-            f"{name}: expected {target_type.__name__}, got {raw!r}") from None
-    if target_type is float and math.isnan(value):
-        raise ConfigMismatch(f"{name}: expected a number, got {raw!r}")
-    return value
+        return _PARSERS[args[0] if args else annotation](raw)
+    except (KeyError, ValueError):
+        return raw
 
 
 _FIELD_TYPES = typing.get_type_hints(Config)
@@ -181,7 +181,7 @@ def load_config(path: Optional[str] = None, overrides: dict = None) -> Config:
                 if name not in _FIELD_TYPES:
                     raise ConfigMismatch(
                         f"unknown config entry [{section}] {key}")
-                values[name] = _convert(name, raw, _FIELD_TYPES[name])
+                values[name] = _convert(raw, _FIELD_TYPES[name])
     for name, value in (overrides or {}).items():
         if name not in _FIELD_TYPES:
             raise ConfigMismatch(f"unknown config field {name!r}")

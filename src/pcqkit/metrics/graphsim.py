@@ -56,18 +56,15 @@ def graph_filter_response(cloud: PointCloud, knn, k_graph: int) -> np.ndarray:
     """High-pass response: distance to the mean of the k nearest others.
 
     knn: (indices, distances) of a self query of the cloud with
-    k_graph + 1 or more columns.
+    k_graph + 1 or more columns, rows sorted by (distance, index). Column
+    0 lies at the point's own position, be it the point or a coincident
+    one, so the others are columns 1 to k.
     """
     n = len(cloud)
     k = min(k_graph, n - 1)
     if k < 1:
         return np.zeros(n)
-    idx = knn[0][:, :k + 1]
-    is_self = idx == np.arange(n)[:, None]
-    self_col = np.where(is_self.any(axis=1), is_self.argmax(axis=1), 0)
-    keep = np.arange(k + 1)[None, :] != self_col[:, None]
-    nbrs = idx[keep].reshape(n, k)
-    mean = cloud.positions[nbrs].mean(axis=1)
+    mean = cloud.positions[knn[0][:, 1:k + 1]].mean(axis=1)
     return np.linalg.norm(cloud.positions - mean, axis=1)
 
 
@@ -77,7 +74,7 @@ def extract_keypoints(cloud: PointCloud, knn, config) -> np.ndarray:
     descending response, ties by ascending index."""
     responses = graph_filter_response(cloud, knn, config.graphsim_k)
     n = len(responses)
-    order = np.lexsort((np.arange(n), -responses))
+    order = np.argsort(-responses, kind="stable")
     return order[:int(math.ceil(config.graphsim_keypoint_fraction * n))]
 
 

@@ -30,12 +30,6 @@ from ..surface import fit_local_surfaces
 
 FEATURE_NAMES = ("f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8")
 
-# distance-form features read 0 = identical; the rest are similarities
-_DISTANCE_FORM = frozenset(("f1", "f2", "f3"))
-
-DEFAULT_AGGREGATE_WEIGHTS = {"f3": 0.18, "f4": 0.44, "f6": 0.38}
-
-
 @dataclass(frozen=True)
 class Correspondence:
     """Per-reference-point fields sampled from one source cloud."""
@@ -164,15 +158,8 @@ def _block_features(block, fields, sigma, config):
 
 
 def pcqm_aggregate(features: PcqmFeatures) -> float:
-    """Weighted distance over selected features, 0 = identical: the
-    recommended 0.18*f3 + 0.44*(1-f4) + 0.38*(1-f6) combination.
-
-    Similarity-form features (f4..f8) enter as 1 - f so every term reads
-    as a distortion.
-    """
-    table = features.as_dict()
-    total = 0.0
-    for name, weight in DEFAULT_AGGREGATE_WEIGHTS.items():
-        value = table[name]
-        total += weight * (value if name in _DISTANCE_FORM else 1.0 - value)
-    return total
+    """The recommended weighted distance 0.18*f3 + 0.44*(1-f4) +
+    0.38*(1-f6), 0 = identical: the similarities f4 and f6 enter as 1 - f
+    so every term reads as a distortion."""
+    f = features.as_dict()
+    return 0.18 * f["f3"] + 0.44 * (1.0 - f["f4"]) + 0.38 * (1.0 - f["f6"])

@@ -243,9 +243,9 @@ def _extract_run(task):
 
     The reference is loaded and its context built once. Returns, per
     distortion, its feature vector or the PcqkitError it raised; a
-    reference that cannot be loaded fails every row. Once the run's
-    arrays are freed, the heap is trimmed (_trim_heap), so a worker's
-    next run starts from the same footprint as its first.
+    reference that cannot be loaded fails every row. The run's arrays
+    are freed when it returns, and the next run of a pool worker reuses
+    their memory.
     """
     ref_file, dist_files, config = task
     try:
@@ -259,24 +259,7 @@ def _extract_run(task):
             out.append(feature_vector(metrics, config))
         except PcqkitError as exc:
             out.append(exc)
-    del reference                  # its arrays are freed before the trim
-    _trim_heap()
     return out
-
-
-def _trim_heap():
-    """Return the free pages of the C heap to the OS, where glibc can.
-
-    glibc keeps freed heap memory for reuse, and whether the next run's
-    arrays fit into it depends on the order of earlier allocations:
-    without this, the peak RSS of a worker's second run rose by 0 or
-    15 MB from one identical extract to the next.
-    """
-    import ctypes
-    try:
-        ctypes.CDLL(None).malloc_trim(0)
-    except (AttributeError, OSError, TypeError):   # not glibc
-        pass
 
 
 def _runs(rows, pending, jobs):

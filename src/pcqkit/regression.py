@@ -54,6 +54,15 @@ class MinMaxScaler:
         return self.fit(X).transform(X)
 
 
+def _checked(name, value, legal, what, kind=numbers.Real):
+    """value, a number of kind but not a bool, for which legal holds;
+    else a ValueError that names the parameter."""
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not legal(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 class RidgeRegression:
     """L2-regularized least squares, solved in closed form.
 
@@ -66,9 +75,8 @@ class RidgeRegression:
 
     def fit(self, X, y):
         X, y = check_paired(X, y)
-        alpha = float(self.alpha)
-        if not 0 <= alpha < math.inf:
-            raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
+        alpha = float(_checked("alpha", self.alpha,
+                               lambda v: 0 <= v < math.inf, "finite and >= 0"))
         x_mean = X.mean(axis=0)
         y_mean = y.mean()
         xc = X - x_mean
@@ -121,18 +129,13 @@ class RbfSvr:
 
     def fit(self, X, y):
         X, y = check_paired(X, y)
-        C, eps, tol = float(self.C), float(self.epsilon), float(self.tol)
-        max_iter = self.max_iter
-        if not C > 0:
-            raise ValueError(f"C must be > 0, got {C}")
-        if not 0 <= eps < math.inf:
-            raise ValueError(f"epsilon must be finite and >= 0, got {eps}")
-        if not 0 < tol < math.inf:
-            raise ValueError(f"tol must be finite and > 0, got {tol}")
-        if (not isinstance(max_iter, numbers.Integral)
-                or isinstance(max_iter, bool) or max_iter < 1):
-            raise ValueError(
-                f"max_iter must be an integer >= 1, got {max_iter!r}")
+        C = float(_checked("C", self.C, lambda v: v > 0, "> 0"))
+        eps = float(_checked("epsilon", self.epsilon,
+                             lambda v: 0 <= v < math.inf, "finite and >= 0"))
+        tol = float(_checked("tol", self.tol, lambda v: 0 < v < math.inf,
+                             "finite and > 0"))
+        max_iter = _checked("max_iter", self.max_iter, lambda v: v >= 1,
+                            "an integer >= 1", numbers.Integral)
         n = X.shape[0]
         var = X.var()
         gamma = 1.0 / (X.shape[1] * var) if var > 0 else 1.0

@@ -150,9 +150,10 @@ def test_int_in_a_float_field_hashes_as_the_float():
                                  graphsim_t_mag=1.0).hash
     assert dataclasses.replace(Config(), psnr_cap_db=100).hash \
         == Config().hash
-    numpy_float = Config(psnr_cap_db=np.float64(100.0))
-    assert type(numpy_float.psnr_cap_db) is float
-    assert numpy_float.hash == Config().hash
+    for kind in (np.float64, np.float32):
+        numpy_float = Config(psnr_cap_db=kind(100.0))
+        assert type(numpy_float.psnr_cap_db) is float
+        assert numpy_float.hash == Config().hash
 
 
 _INTEGER_FIELDS = ["cloud_bit_depth", "pointssim_k", "graphsim_k",
@@ -207,6 +208,10 @@ _RANGES = [
     ("graphsim_k", -3, 2),
     ("psnr_normal_radius", -1e-9, 0.0),
     ("pcqm_radius_factor", 0.0, 1e-9),
+    ("pcqm_radius_factor", "x", 0.02),
+    ("pcqm_radius_factor", None, 0.02),
+    ("pcqm_lab_table", 3, None),
+    ("pipeline_cache_dir", 3, None),
     ("graphsim_radius_factor", 0.0, 1e-9),
     ("graphsim_t_mag", 0.0, 1e-9),
     ("graphsim_t_mean", 0.0, 1e-9),

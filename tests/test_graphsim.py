@@ -9,8 +9,8 @@ from pcqkit.config import Config
 from pcqkit.errors import AllKeypointsEmpty, ConfigMismatch
 from pcqkit.metrics import graphsim
 from pcqkit.metrics.graphsim import (GraphFeatures, extract_keypoints,
-                                     graph_blocks, graph_pair_sims,
-                                     msgraphsim_score)
+                                     graph_blocks, graph_filter_response,
+                                     graph_pair_sims, msgraphsim_score)
 from pcqkit.plan import PairPlan, ReferenceContext
 from pcqkit.spatial import Neighbors, build_index
 
@@ -66,6 +66,45 @@ def test_keypoint_count_and_determinism():
     assert np.array_equal(keys, again)
     few = keypoints(cloud, 0.004)
     assert len(few) == 2  # ceil rounds up
+
+
+def _oracle_response(positions, k_graph):
+    """graph_filter_response with each point's k_graph nearest others
+    found by brute force in (distance, index) order, the point itself
+    left out by its index."""
+    n = len(positions)
+    others = np.empty((n, k_graph), dtype=np.int64)
+    for i in range(n):
+        diff = positions - positions[i]
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        others[i] = [j for j in np.lexsort((np.arange(n), d)) if j != i][
+            :k_graph]
+    return np.linalg.norm(positions - positions[others].mean(axis=1), axis=1)
+
+
+def _crowded(seed):
+    """A quantised sheet with coincident crowds, one of them 15 strong,
+    and a -0.0 copy of each point on the plane z = 0."""
+    rng = np.random.default_rng(seed)
+    positions = np.round(surface_cloud(60, seed=seed).positions / 20.0)
+    positions[:, 2] -= positions[0, 2]
+    zeros = positions[positions[:, 2] == 0.0] * [1.0, 1.0, -1.0]
+    crowd = np.repeat(positions[rng.integers(len(positions), size=1)], 15, 0)
+    positions = np.concatenate([positions, zeros, crowd])
+    return positions[rng.permutation(len(positions))]
+
+
+@pytest.mark.parametrize("positions, k_graph", [
+    (_crowded(41), 10), (_crowded(42), 4), (_crowded(43), 20),
+    (_crowded(44)[:7], 6), (_crowded(45)[:7], 9), (np.zeros((3, 3)), 5),
+    (np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [0.0, 1.0, 3.0]]), 1)])
+def test_filter_response_equals_the_leave_own_index_out_oracle(positions,
+                                                               k_graph):
+    cloud = PointCloud(positions)
+    knn = build_index(cloud).knn_batch(positions, k_graph + 1)
+    response = graph_filter_response(cloud, knn, k_graph)
+    oracle = _oracle_response(positions, min(k_graph, len(positions) - 1))
+    assert np.array_equal(response, oracle)
 
 
 def test_keypoints_prefer_high_response():

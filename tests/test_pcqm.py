@@ -5,9 +5,8 @@ import pytest
 
 from pcqkit import spatial
 from pcqkit.config import Config
-from pcqkit.metrics.pcqm import (DEFAULT_AGGREGATE_WEIGHTS, Correspondence,
-                                 compute_pcqm_features, pcqm_aggregate,
-                                 pcqm_compare)
+from pcqkit.metrics.pcqm import (Correspondence, compute_pcqm_features,
+                                 pcqm_aggregate, pcqm_compare)
 from pcqkit.plan import PairPlan, ReferenceContext
 from pcqkit.spatial import Neighbors
 
@@ -66,7 +65,6 @@ def test_aggregate_weights():
     d = feats.as_dict()
     expected = (0.18 * d["f3"] + 0.44 * (1 - d["f4"]) + 0.38 * (1 - d["f6"]))
     assert pcqm_aggregate(feats) == pytest.approx(expected, abs=1e-15)
-    assert sum(DEFAULT_AGGREGATE_WEIGHTS.values()) == 1.0
 
 
 def test_constants_shift_similarity_features():

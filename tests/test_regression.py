@@ -83,7 +83,8 @@ def test_ridge_matches_iterative_solver():
     assert worst < 1e-6
 
 
-@pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("alpha", [-1.0, float("nan"), float("inf"), True,
+                                   "2"])
 def test_ridge_refuses_out_of_range_alpha(alpha):
     with pytest.raises(ValueError, match="^alpha must be finite and >= 0"):
         RidgeRegression(alpha=alpha).fit([[1.0], [2.0], [3.0]],
@@ -186,6 +187,7 @@ _SVR_RANGES = {"C": "> 0", "epsilon": "finite and >= 0",
     ("tol", float("inf")),
     ("max_iter", 2.7), ("max_iter", 5.0), ("max_iter", 0), ("max_iter", -3),
     ("max_iter", True),
+    ("C", True), ("C", "10"), ("epsilon", False), ("tol", "0.01"),
 ])
 def test_svr_refuses_out_of_range_hyperparameters(param, value):
     # refused before any step, so a bad tol does not run max_iter steps
