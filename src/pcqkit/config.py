@@ -11,6 +11,7 @@ when it is made, so the metrics never check their settings.
 import configparser
 import dataclasses
 import hashlib
+import math
 import numbers
 import os
 import typing
@@ -36,6 +37,9 @@ def _one_of(*allowed):
 _AT_LEAST_0 = (lambda v: v >= 0), "0 or more"
 _AT_LEAST_1 = (lambda v: v >= 1), "1 or more"
 _ABOVE_0 = (lambda v: v > 0), "more than 0"
+# a radius: an infinite one holds every pair of points
+_FINITE_AT_LEAST_0 = (lambda v: 0 <= v < math.inf), "finite and 0 or more"
+_FINITE_ABOVE_0 = (lambda v: 0 < v < math.inf), "finite and more than 0"
 
 # field -> (test, what is legal) of a value of the field's type; NaN fails
 # every range test
@@ -51,10 +55,10 @@ _LEGAL = {
                                    "a value in (0, 1]"),
     "pointssim_k": _AT_LEAST_1, "graphsim_k": _AT_LEAST_1,
     "pointssim_pooling_exponent": _ABOVE_0,
-    "psnr_normal_radius": _AT_LEAST_0,
+    "psnr_normal_radius": _FINITE_AT_LEAST_0,
     "psnr_cap_db": _AT_LEAST_0,
-    "pcqm_radius_factor": _ABOVE_0,
-    "graphsim_radius_factor": _ABOVE_0,
+    "pcqm_radius_factor": _FINITE_ABOVE_0,
+    "graphsim_radius_factor": _FINITE_ABOVE_0,
     # 0 is legal, though a 0 in k1, k2, k3, k5 or k6 can give nan
     **{f"pcqm_k{i}": _AT_LEAST_0 for i in range(1, 9)},
     **{f"graphsim_t_{name}": _ABOVE_0 for name in ("mag", "mean", "cov")},
@@ -70,8 +74,9 @@ def _typed(name: str, value, annotation):
     """value as a field of type annotation holds it, or ConfigMismatch:
     an int field takes any integer and a float field any real, each but a
     bool and stored as the Python type, so that it hashes as the equal
-    int or float; a str field takes a str, a bool field a bool, and an
-    Optional field None too."""
+    int or float, and an integer too large for a float is refused; a str
+    field takes a str, a bool field a bool, and an Optional field None
+    too."""
     args = typing.get_args(annotation)
     if value is None and type(None) in args:
         return None
@@ -80,7 +85,11 @@ def _typed(name: str, value, annotation):
     # a bool is an integer and a real to isinstance
     if isinstance(value, accepted) and (
             kind is bool or not isinstance(value, bool)):
-        return kind(value)
+        try:
+            return kind(value)
+        except OverflowError:   # an integer past the largest float
+            raise ConfigMismatch(f"{name}: expected {what}, got an integer "
+                                 "too large for a float") from None
     if args:
         what = "none or " + what
     raise ConfigMismatch(f"{name}: expected {what}, got {value!r}")

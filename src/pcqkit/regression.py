@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateInput, MissingFeatureColumn, NonConvergence,
-                     SingularSystem, TooFewGroups, UnknownModel)
-from .evaluation import pearson
+from .errors import (MissingFeatureColumn, NonConvergence, SingularSystem,
+                     TooFewGroups, UnknownModel)
 from .validation import check_matrix_2d, check_paired
 
 __all__ = ["MinMaxScaler", "RidgeRegression", "RbfSvr", "rbf_kernel",
@@ -99,10 +98,14 @@ class RidgeRegression:
 
 def rbf_kernel(A, B, gamma: float):
     """exp(-gamma * ||a - b||^2) for every row pair."""
-    a2 = np.einsum("ij,ij->i", A, A)
-    b2 = np.einsum("ij,ij->i", B, B)
-    d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
-    return np.exp(-gamma * np.maximum(d2, 0.0))
+    # exp(-gamma * max(a2 + b2 - 2 ab, 0)) in one buffer, in that order
+    ab = A @ B.T
+    ab *= 2.0
+    K = np.einsum("ij,ij->i", A, A)[:, None] + np.einsum("ij,ij->i", B, B)
+    K -= ab
+    np.maximum(K, 0.0, out=K)
+    K *= -gamma
+    return np.exp(K, out=K)
 
 
 def svr_dual_objective(K, y, epsilon: float, beta):
@@ -211,7 +214,12 @@ class RbfSvr:
         return self
 
     def predict(self, X):
-        X = check_matrix_2d(X)
+        return self._decision(check_matrix_2d(X))
+
+    def _decision(self, X):
+        # X is checked and C-ordered: its layout sets the summation order
+        # of the kernel's einsum and matmul, so a prediction of another
+        # layout is other bits
         if len(self.support_vectors_) == 0:
             return np.full(X.shape[0], self.intercept_)
         K = rbf_kernel(X, self.support_vectors_, self.gamma_)
@@ -238,27 +246,40 @@ class FeatureRanking:
     rounds: list   # (surviving column tuple, importance array) per round
 
 
+def _correlations(preds, y_centered, y_std):
+    """evaluation.pearson(row, y) of each row of preds, by its operations;
+    a row or a y of std 0 scores 0.0, where pearson raises
+    DegenerateInput."""
+    std = preds.std(axis=1)
+    centered = preds - preds.mean(axis=1, keepdims=True)
+    return np.divide((centered * y_centered).mean(axis=1), std * y_std,
+                     out=np.zeros(len(preds)),
+                     where=(std != 0.0) & (y_std != 0.0))
+
+
 def _importances(estimator, X, y, seed, round_idx):
     if isinstance(estimator, RidgeRegression):
         return np.abs(estimator.coef_)
 
-    def correlation(rows):
-        pred = estimator.predict(rows)
-        try:
-            return pearson(pred, y)
-        except DegenerateInput:   # a constant prediction
-            return 0.0
-
-    base = correlation(X)
-    scores = np.zeros(X.shape[1])
-    for col in range(X.shape[1]):
-        drop = 0.0
+    n, p = X.shape
+    y_centered, y_std = y - y.mean(), y.std()
+    # one C-ordered copy of X, as predict's check makes it, whose column
+    # col is shuffled for each repeat and put back after its last one
+    rows = X.copy(order="C")
+    base = _correlations(estimator._decision(rows)[None], y_centered,
+                         y_std)[0]
+    preds = np.empty((10, n))
+    scores = np.zeros(p)
+    for col in range(p):
         for rep in range(10):
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, round_idx, col, rep]))
-            shuffled = X.copy()
-            shuffled[:, col] = shuffled[rng.permutation(X.shape[0]), col]
-            drop += base - correlation(shuffled)
+            rows[:, col] = X[rng.permutation(n), col]
+            preds[rep] = estimator._decision(rows)
+        rows[:, col] = X[:, col]
+        drop = 0.0
+        for correlation in _correlations(preds, y_centered, y_std):
+            drop += base - correlation
         scores[col] = drop / 10.0
     return scores
 

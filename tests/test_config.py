@@ -225,7 +225,14 @@ _RANGES = [
     ("cloud_bit_depth", 0, 1),
     ("cloud_bit_depth", 33, 32),
     ("cloud_bit_depth", 8.5, 8),
-    ("cloud_bit_depth", True, 1)] + [
+    ("cloud_bit_depth", True, 1),
+    # an infinite radius holds every pair of points
+    ("psnr_normal_radius", float("inf"), 1e300),
+    ("pcqm_radius_factor", float("inf"), 1e300),
+    ("graphsim_radius_factor", float("inf"), 1e300),
+    # an integer past the largest float
+    ("psnr_cap_db", 10**400, 1e308),
+    ("pcqm_k1", -10**400, 1e-8)] + [
     (f"pcqm_k{i}", -1e-9, 0.0) for i in range(1, 9)]
 
 

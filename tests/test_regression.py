@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from pcqkit.errors import (MissingFeatureColumn, NonConvergence,
-                           SingularSystem, TooFewGroups, UnknownModel)
+from pcqkit import regression
+from pcqkit.errors import (DegenerateInput, MissingFeatureColumn,
+                           NonConvergence, SingularSystem, TooFewGroups,
+                           UnknownModel)
+from pcqkit.evaluation import pearson
 from pcqkit.pipeline import FEATURE_COLUMNS, FeatureTable, ManifestRow
 from pcqkit.regression import (MODEL_REGISTRY, FusionModel, MinMaxScaler,
                                RbfSvr, RidgeRegression, group_kfold,
                                make_model, rbf_kernel, rfe_rank,
                                svr_dual_objective)
+from pcqkit.validation import check_matrix_2d
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +382,44 @@ def test_smo_problems_reach_every_case():
 
 
 # ---------------------------------------------------------------------------
+# the kernel and the layout of X
+
+def _rbf_kernel_oracle(A, B, gamma):
+    """rbf_kernel as first written, with a temporary for each operation."""
+    a2 = np.einsum("ij,ij->i", A, A)
+    b2 = np.einsum("ij,ij->i", B, B)
+    d2 = a2[:, None] + b2[None, :] - 2.0 * (A @ B.T)
+    return np.exp(-gamma * np.maximum(d2, 0.0))
+
+
+@pytest.mark.parametrize("n, m, p", [(1, 1, 1), (7, 3, 2), (53, 53, 23),
+                                     (200, 160, 23), (37, 12, 5)])
+def test_rbf_kernel_equals_the_allocating_expression_bit_for_bit(n, m, p):
+    rng = np.random.default_rng([n, m, p])
+    A, B = rng.uniform(size=(n, p)), rng.uniform(size=(m, p))
+    gamma = 1.0 / (p * A.var()) if n > 1 else 1.0
+    for left, right in ((A, B), (A, A), (B, A)):
+        assert _bits(rbf_kernel(left, right, gamma)) == _bits(
+            _rbf_kernel_oracle(left, right, gamma))
+
+
+def test_svr_predict_is_the_same_bits_for_every_layout_of_x():
+    # the kernel's einsum and matmul sum in an order that the layout of X
+    # sets, so predict makes X C-ordered first; the permutation
+    # importances predict from a C-ordered buffer and rely on that
+    rng = np.random.default_rng(21)
+    X = rng.uniform(size=(53, 7))
+    y = np.sin(3.0 * X[:, 0]) + X[:, -1] + 0.1 * rng.normal(size=53)
+    model = RbfSvr().fit(X, y)
+    expected = model.predict(X)
+    wide = np.zeros((106, 14))
+    wide[::2, ::2] = X
+    for other in (np.asfortranarray(X), wide[::2, ::2], X[:, list(range(7))]):
+        assert not other.flags.c_contiguous
+        assert _bits(model.predict(other)) == _bits(expected)
+
+
+# ---------------------------------------------------------------------------
 # recursive feature elimination
 
 def _planted_problem(rng, n=60, p=6):
@@ -431,6 +473,134 @@ def test_rfe_step_and_determinism():
         rfe_rank(X, y, estimator="boost")
     with pytest.raises(ValueError):
         rfe_rank(X, y, names=["too", "few"])
+
+
+def _predict_oracle(model, X):
+    """RbfSvr.predict as first written: the check, then the kernel."""
+    X = check_matrix_2d(X)
+    if len(model.support_vectors_) == 0:
+        return np.full(X.shape[0], model.intercept_)
+    K = _rbf_kernel_oracle(X, model.support_vectors_, model.gamma_)
+    return K @ model.dual_coef_ + model.intercept_
+
+
+def _importances_oracle(estimator, X, y, seed, round_idx):
+    """Permutation importance as first written: a fresh copy of X, a
+    checked predict and a pearson for each of the 10 repeats.
+
+    regression._importances shuffles one buffer and scores the repeats of
+    a column together, and must reach the same bits.
+    """
+    if isinstance(estimator, RidgeRegression):
+        return np.abs(estimator.coef_)
+
+    def correlation(rows):
+        pred = _predict_oracle(estimator, rows)
+        try:
+            return pearson(pred, y)
+        except DegenerateInput:   # a constant prediction
+            return 0.0
+
+    base = correlation(X)
+    scores = np.zeros(X.shape[1])
+    for col in range(X.shape[1]):
+        drop = 0.0
+        for rep in range(10):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([seed, round_idx, col, rep]))
+            shuffled = X.copy()
+            shuffled[:, col] = shuffled[rng.permutation(X.shape[0]), col]
+            drop += base - correlation(shuffled)
+        scores[col] = drop / 10.0
+    return scores
+
+
+def _rfe_cases():
+    """(id, X, y, rfe_rank keyword arguments) for the oracle comparison."""
+    rng = np.random.default_rng(2026)
+    cases = []
+    X, y = _planted_problem(rng, n=37, p=5)
+    cases.append(("n37-p5", X, y, {"seed": 3}))
+    cases.append(("n37-p5-step2", X, y, {"seed": 3, "step": 2}))
+    X, y = _planted_problem(rng, n=41, p=2)
+    cases.append(("n41-p1", X[:, :1], y, {"seed": 4}))
+    # 23 monotone views of one latent quality, as a feature table holds
+    latent = rng.normal(size=53)
+    noise = rng.normal(size=(53, 23)) * np.linspace(0.2, 0.8, 23)
+    X = 1.0 / (1.0 + np.exp(-(latent[:, None] + noise)))
+    y = 1.0 + 4.0 / (1.0 + np.exp(-latent)) + 0.1 * rng.normal(size=53)
+    cases.append(("n53-p23", X, y, {"seed": 5}))
+    cases.append(("n53-p23-step2", X, y, {"seed": 6, "step": 2,
+                                           "estimator_params": {
+                                               "C": 10.0, "epsilon": 0.01}}))
+    X, y = _planted_problem(rng, n=30, p=4)
+    X[:, 2] = 0.7
+    cases.append(("constant-column", X, y, {"seed": 7}))
+    # a constant y has no support vector, and its prediction is the
+    # intercept (1.938 - 0.1 + 1.938 + 0.1) / 2, 1 ulp below 1.938: the
+    # mean of y is exact and that of the prediction is not, so only y has
+    # a std of 0
+    cases.append(("constant-y", rng.uniform(size=(10, 3)),
+                  np.full(10, 1.938), {"seed": 8}))
+    # an epsilon wider than the spread of y: no support vector, and on a
+    # grid of eighths the intercept's mean is exact, so the prediction has
+    # a std of 0
+    X, y = _planted_problem(rng, n=30, p=4)
+    cases.append(("constant-prediction", X, np.round(8.0 * y) / 8.0,
+                  {"seed": 9, "estimator_params": {"epsilon": 10.0}}))
+    return cases
+
+
+_RFE_CASES = _rfe_cases()
+
+
+@pytest.mark.parametrize("X, y, kwargs", [c[1:] for c in _RFE_CASES],
+                         ids=[c[0] for c in _RFE_CASES])
+def test_rfe_importances_equal_the_per_prediction_loop_bit_for_bit(
+        X, y, kwargs, monkeypatch):
+    ranking = rfe_rank(X, y, estimator="svr", **kwargs)
+    monkeypatch.setattr(regression, "_importances", _importances_oracle)
+    expected = rfe_rank(X, y, estimator="svr", **kwargs)
+    assert ranking.order == expected.order
+    assert [s for s, _ in ranking.rounds] == [s for s, _ in expected.rounds]
+    for (_, importances), (_, oracle) in zip(ranking.rounds, expected.rounds):
+        assert _bits(importances) == _bits(oracle)
+
+
+def test_rfe_cases_reach_every_branch(monkeypatch):
+    # a guard on the cases above: what each round's importances are asked
+    # of, by case
+    reached = {}
+
+    def recording(estimator, X, y, seed, round_idx):
+        seen = reached.setdefault(case, set())
+        seen.add("C-ordered" if X.flags.c_contiguous else "not C-ordered")
+        if X.shape[0] % 4:
+            seen.add("n not a multiple of 4")
+        if np.any(np.ptp(X, axis=0) == 0.0):
+            seen.add("constant column")
+        # a std of 0 on one side, where pearson raises DegenerateInput
+        prediction_std = estimator.predict(X).std()
+        if y.std() == 0.0 and prediction_std != 0.0:
+            seen.add("constant y")
+        if prediction_std == 0.0 and y.std() != 0.0:
+            seen.add("constant prediction")
+        return _importances_oracle(estimator, X, y, seed, round_idx)
+
+    monkeypatch.setattr(regression, "_importances", recording)
+    widths = {}
+    for case, X, y, kwargs in _RFE_CASES:
+        widths[case] = X.shape[1]
+        rfe_rank(X, y, estimator="svr", **kwargs)
+    assert set().union(*reached.values()) == {
+        "C-ordered", "not C-ordered", "n not a multiple of 4",
+        "constant column", "constant y", "constant prediction"}
+    assert "not C-ordered" in reached["n53-p23"]
+    assert "constant column" in reached["constant-column"]
+    assert "constant y" in reached["constant-y"]
+    assert "constant prediction" in reached["constant-prediction"]
+    assert {1, 23} <= set(widths.values())
+    assert {kwargs.get("step", 1) for _, _, _, kwargs in _RFE_CASES} == {1, 2}
 
 
 # ---------------------------------------------------------------------------
