@@ -246,7 +246,10 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="INI settings file")
-        p.add_argument("--out", help="output path (default: stdout)")
+        if name in ("extract", "train", "predict"):
+            p.add_argument("--out", required=True, help="output path")
+        else:
+            p.add_argument("--out", help="output path (default: stdout)")
         return p
 
     p = add("info", _cmd_info, "summarize one cloud")
@@ -266,13 +269,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--cache", help="feature cache directory")
     p.add_argument("--bitdepth", type=int)
     p.add_argument("--verbose", action="store_true")
-    p.set_defaults(out_required=True)
 
     p = add("train", _cmd_train, "fit a fusion model on a feature table")
     p.add_argument("--features", required=True)
     p.add_argument("--model", required=True, choices=models)
     p.add_argument("--seed", type=_int_from(0))
-    p.set_defaults(out_required=True)
 
     p = add("rfe", _cmd_rfe, "rank features by recursive elimination")
     p.add_argument("--features", required=True)
@@ -285,7 +286,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--force", action="store_true",
                    help="ignore config hash mismatches")
-    p.set_defaults(out_required=True)
 
     p = add("evaluate", _cmd_evaluate, "benchmark scores against MOS")
     p.add_argument("--scores", required=True, action="append",
@@ -307,8 +307,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise _UsageError("a command is required")
-        if getattr(args, "out_required", False) and not args.out:
-            raise _UsageError(f"{args.command} requires --out")
         return args.fn(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

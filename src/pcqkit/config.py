@@ -74,7 +74,8 @@ def _typed(name: str, value, annotation):
     """value as a field of type annotation holds it, or ConfigMismatch:
     an int field takes any integer and a float field any real, each but a
     bool and stored as the Python type, so that it hashes as the equal
-    int or float, and an integer too large for a float is refused; a str
+    int or float; an integer outside the int64 range in an int field, or
+    too large for a float in a float field, is refused; a str
     field takes a str, a bool field a bool, and an Optional field None
     too."""
     args = typing.get_args(annotation)
@@ -86,10 +87,16 @@ def _typed(name: str, value, annotation):
     if isinstance(value, accepted) and (
             kind is bool or not isinstance(value, bool)):
         try:
-            return kind(value)
+            value = kind(value)
         except OverflowError:   # an integer past the largest float
             raise ConfigMismatch(f"{name}: expected {what}, got an integer "
                                  "too large for a float") from None
+        # numpy reads an int field as an int64, and a message or the hash
+        # cannot print an integer of more than 4,300 digits
+        if kind is int and not -2 ** 63 <= value < 2 ** 63:
+            raise ConfigMismatch(f"{name}: expected {what}, got an integer "
+                                 "outside the int64 range")
+        return value
     if args:
         what = "none or " + what
     raise ConfigMismatch(f"{name}: expected {what}, got {value!r}")

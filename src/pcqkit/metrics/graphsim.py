@@ -250,7 +250,8 @@ def msgraphsim_score(plan) -> GraphSimScore:
     Keypoints with an empty dist-side graph are scored against a
     zero-feature graph (holes must hurt the score, not vanish from it).
     """
-    config, dist, reference = plan.config, plan.dist, plan.reference.graphsim
+    config, reference = plan.config, plan.reference.graphsim
+    dist = plan.distorted.cloud
     scales = tuple(range(config.graphsim_n_scales))
     weights = np.full(len(scales), 1.0 / len(scales))
     cw = np.asarray(CHANNEL_WEIGHTS, dtype=np.float64)

@@ -20,7 +20,7 @@ its config:
         compute_d1(PairPlan.build(context, dist)).psnr_db
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
 
@@ -29,7 +29,8 @@ import numpy as np
 from .cloud import PointCloud, bounding_box
 from .colorspace import Lab2000HLTable, rgb_to_ycbcr
 from .config import Config
-from .errors import MissingNormalsUnrecoverable
+from .errors import (ConfigMismatch, InvalidCloud,
+                     MissingNormalsUnrecoverable)
 from .metrics.graphsim import graphsim_reference
 from .metrics.pcqm import build_correspondence, recolor
 from .metrics.pointssim import extract_dispersion
@@ -52,12 +53,13 @@ class ReferenceContext:
 
     geometry is a context of the same positions, whose kd-tree, self
     k-NN, estimated normals and geometry PointSSIM field this one
-    reuses.
+    reuses. Only PairPlan.build sets it, for a dist at its reference's
+    exact positions.
     """
 
     cloud: PointCloud
     config: Config
-    geometry: Optional["ReferenceContext"] = None
+    geometry: Optional["ReferenceContext"] = field(default=None, init=False)
 
     @classmethod
     def build(cls, cloud: PointCloud, config: Config = None):
@@ -134,8 +136,13 @@ class ReferenceContext:
 
     @cached_property
     def pcqm_radius(self) -> float:
-        """PCQM neighbourhood radius h."""
-        return self.config.pcqm_radius_factor * bounding_box(self.cloud).diagonal
+        """PCQM neighbourhood radius h; InvalidCloud unless it is > 0."""
+        radius = self.config.pcqm_radius_factor * bounding_box(
+            self.cloud).diagonal
+        if not radius > 0.0:
+            raise InvalidCloud(f"PCQM radius is {radius}: every point of "
+                               "the cloud coincides")
+        return radius
 
     @cached_property
     def pcqm_neighbors(self):
@@ -164,6 +171,14 @@ class PairPlan:
     reference: ReferenceContext
     distorted: ReferenceContext
 
+    def __post_init__(self):
+        if self.reference.config != self.distorted.config:
+            raise ConfigMismatch("the two contexts of a pair must share "
+                                 "one config")
+        if self.distorted.geometry not in (None, self.reference):
+            raise ValueError("the distorted context shares the geometry "
+                             "of another reference")
+
     @classmethod
     def build(cls, ref: Union[PointCloud, ReferenceContext],
               dist: PointCloud, config: Config = None):
@@ -181,21 +196,14 @@ class PairPlan:
         elif config is not None:
             raise TypeError("a ReferenceContext carries its own config; "
                             "pass no config with it")
-        same = np.array_equal(dist.positions, ref.cloud.positions)
-        return cls(ref, ReferenceContext(dist, ref.config,
-                                         ref if same else None))
+        distorted = ReferenceContext(dist, ref.config)
+        if np.array_equal(dist.positions, ref.cloud.positions):
+            object.__setattr__(distorted, "geometry", ref)
+        return cls(ref, distorted)
 
     @property
     def config(self) -> Config:
         return self.reference.config
-
-    @property
-    def ref(self) -> PointCloud:
-        return self.reference.cloud
-
-    @property
-    def dist(self) -> PointCloud:
-        return self.distorted.cloud
 
     @cached_property
     def nearest_forward(self):
@@ -203,14 +211,16 @@ class PairPlan:
         (with shared geometry, column 0 of the self k-NN)."""
         if self.distorted.geometry:
             return tuple(a[:, 0].copy() for a in self.reference.knn)
-        return self.reference.index.nearest_batch(self.dist.positions)
+        return self.reference.index.nearest_batch(
+            self.distorted.cloud.positions)
 
     @cached_property
     def nearest_backward(self):
         """(index, distance) of the nearest dist point of every ref point."""
         if self.distorted.geometry:
             return self.nearest_forward
-        return self.distorted.index.nearest_batch(self.ref.positions)
+        return self.distorted.index.nearest_batch(
+            self.reference.cloud.positions)
 
     @cached_property
     def corr(self):
@@ -218,14 +228,14 @@ class PairPlan:
         the dist points within h of each ref point; that query is made
         here and not kept. With shared geometry only the colours are
         sampled: the surface is the reference's own."""
-        reference = self.reference
-        if self.distorted.geometry:
-            return recolor(reference.corr, self.dist,
+        reference, distorted = self.reference, self.distorted
+        if distorted.geometry:
+            return recolor(reference.corr, distorted.cloud,
                            self.nearest_backward[0], reference.lab_table)
         return build_correspondence(
-            self.ref, self.dist,
-            self.distorted.index.radius_batch(self.ref.positions,
-                                              reference.pcqm_radius),
+            reference.cloud, distorted.cloud,
+            distorted.index.radius_batch(reference.cloud.positions,
+                                         reference.pcqm_radius),
             self.nearest_backward[0], reference.lab_table)
 
     @cached_property
@@ -236,5 +246,5 @@ class PairPlan:
         if self.distorted.geometry:
             return graphsim.members
         return self.distorted.index.radius_batch(
-            self.ref.positions[graphsim.keypoints], graphsim.radius,
-            sort_by_distance=True)
+            self.reference.cloud.positions[graphsim.keypoints],
+            graphsim.radius, sort_by_distance=True)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .errors import EmptyCloud
+from .validation import check_positions
 
 __all__ = ["Neighbors", "SpatialIndex", "build_index"]
 
@@ -80,12 +80,7 @@ class SpatialIndex:
     """kd-tree over an (n, 3) position array."""
 
     def __init__(self, positions):
-        positions = np.ascontiguousarray(positions, dtype=np.float64)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ValueError(f"expected (n, 3) positions, got {positions.shape}")
-        if positions.shape[0] == 0:
-            raise EmptyCloud("cannot index an empty cloud")
-        self.positions = positions
+        self.positions = positions = check_positions(positions)
         self.n = positions.shape[0]
         self._tree = cKDTree(positions)
 

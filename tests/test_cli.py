@@ -201,9 +201,11 @@ def test_usage_errors_exit_1(corpus, tmp_path):
                            "--model", "model99")
     assert code == 1
     assert "model99" in err
-    code, _, _ = run_cli("extract", "--manifest",
-                         str(corpus / "manifest.csv"))  # --out required
-    assert code == 1
+    for command in (("extract", "--manifest", str(corpus / "manifest.csv")),
+                    ("train", "--features", "x.csv", "--model", "fsm"),
+                    ("predict", "--model", "m.json", "--features", "x.csv")):
+        code, _, err = run_cli(*command)
+        assert code == 1 and "required: --out" in err, command
     code, _, _ = run_cli("nonsense")
     assert code == 1
 

@@ -34,6 +34,13 @@ def test_positions_validation():
         PointCloud(np.zeros((2, 3)), colors=np.full((2, 3), 300.0))
     with pytest.raises(InvalidCloud):
         PointCloud(np.zeros((2, 3)), colors=np.zeros((3, 3)))
+    with pytest.raises(InvalidCloud, match="expected 2-d array, got 1-d"):
+        PointCloud(np.zeros(3))
+    with pytest.raises(InvalidCloud, match="normals: expected shape"):
+        PointCloud(np.zeros((2, 3)), normals=np.ones((3, 3)))
+    with pytest.raises(InvalidCloud, match="zero-length normal"):
+        PointCloud(np.zeros((2, 3)), normals=np.array([[0., 0., 1.],
+                                                       [0., 0., 0.]]))
 
 
 def test_cloud_is_immutable():

@@ -80,9 +80,14 @@ def test_lab_table_bilinear_remap(tmp_path):
     assert np.allclose(far[0, 1], 20.0)
 
 
-def test_lab_table_missing():
+def test_lab_table_missing(tmp_path):
     with pytest.raises(TableMissing):
         Lab2000HLTable.load("/nonexistent/table.txt")
+    body = _toy_table(tmp_path).read_text().split("\n")
+    truncated = tmp_path / "truncated.txt"
+    truncated.write_text("\n".join(body[:-3]) + "\n")
+    with pytest.raises(TableMissing, match="truncated table body"):
+        Lab2000HLTable.load(truncated)
 
 
 def test_rgb_to_perceptual_fallback_and_table(tmp_path):

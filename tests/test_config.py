@@ -232,7 +232,13 @@ _RANGES = [
     ("graphsim_radius_factor", float("inf"), 1e300),
     # an integer past the largest float
     ("psnr_cap_db", 10**400, 1e308),
-    ("pcqm_k1", -10**400, 1e-8)] + [
+    ("pcqm_k1", -10**400, 1e-8),
+    # an integer past int64, here one too long for Python to print (so
+    # its test id is given)
+    pytest.param("cloud_bit_depth", 10**5000, 32,
+                 id="cloud_bit_depth-10**5000-32"),
+    pytest.param("graphsim_k", 10**5000, 2 ** 63 - 1,
+                 id="graphsim_k-10**5000-2**63-1")] + [
     (f"pcqm_k{i}", -1e-9, 0.0) for i in range(1, 9)]
 
 

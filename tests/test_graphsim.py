@@ -232,7 +232,8 @@ def _oracle_graph(cloud, signals, idx, scale, center, centroid, smoothing):
 def oracle_score(plan):
     """(sims, per_scale, overall, empty_dist_graphs), one keypoint at a
     time."""
-    config, ref, dist = plan.config, plan.ref, plan.dist
+    config = plan.config
+    ref, dist = plan.reference.cloud, plan.distorted.cloud
     reference = plan.reference.graphsim
     scales = range(config.graphsim_n_scales)
     t = (config.graphsim_t_mag, config.graphsim_t_mean, config.graphsim_t_cov)

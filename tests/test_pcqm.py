@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pcqkit import spatial
+from pcqkit.cloud import PointCloud
 from pcqkit.config import Config
+from pcqkit.errors import InvalidCloud
 from pcqkit.metrics.pcqm import (Correspondence, compute_pcqm_features,
                                  pcqm_aggregate, pcqm_compare)
 from pcqkit.plan import PairPlan, ReferenceContext
@@ -75,6 +77,16 @@ def test_constants_shift_similarity_features():
     big_k = pcqm_compare(ref, dist, _SELF, 1.0,
                          Config(pcqm_k1=10.0)).as_dict()["f1"]
     assert big_k < small_k  # a large stabilizer damps the contrast
+
+
+def test_a_reference_whose_points_all_coincide_is_refused():
+    # its radius h is 0, which gave eight NaN features and a warning
+    colors = np.arange(60.0).reshape(20, 3)
+    ref = PointCloud(np.full((20, 3), 7.0), colors=colors)
+    dist = PointCloud(np.arange(60.0).reshape(20, 3), colors=colors)
+    plan = PairPlan.build(ref, dist)
+    with pytest.raises(InvalidCloud, match="PCQM radius is 0.0"):
+        compute_pcqm_features(plan)
 
 
 def test_correspondence_samples_nearest_color():

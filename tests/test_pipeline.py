@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pcqkit import spatial
+from pcqkit.cloud import PointCloud
 from pcqkit.config import Config
 from pcqkit.errors import (BadMosValue, ConfigMismatch, JoinMismatch,
                            MissingColumn, PcqkitError, SchemaMismatch)
@@ -53,6 +54,9 @@ def test_manifest_missing_column(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("group_id,ref_path,mos\na,b.ply,3\n")
     with pytest.raises(MissingColumn):
+        load_manifest(path)
+    path.write_text("group_id,ref_path,dist_path,mos\n")
+    with pytest.raises(MissingColumn, match="has no data rows"):
         load_manifest(path)
 
 
@@ -174,6 +178,25 @@ def test_features_csv_schema_guard(tmp_path):
     path.write_text("# schema_version=99 config_hash=x\ngroup_id\n")
     with pytest.raises(SchemaMismatch):
         read_features_csv(path)
+    path.write_text("# schema_version=1 config_hash=x\ngroup_id\n")
+    with pytest.raises(SchemaMismatch, match="unexpected column set"):
+        read_features_csv(path)
+
+
+def test_a_table_skips_blank_records_and_refuses_a_short_one(tmp_path):
+    rows = [ManifestRow("g", "r.ply", f"d{i}.ply", 3.0) for i in range(2)]
+    path = tmp_path / "s.csv"
+    write_scores_csv(rows, [1.5, 2.5], path, "m", "x")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:3] + [""] + lines[3:]) + "\n")
+    keys, scores, _ = read_scores_csv(path)
+    assert keys[1] == ("g", "r.ply", "d1.ply") and list(scores) == [1.5, 2.5]
+    path.write_text("\n".join(lines + ["g,r.ply,d2.ply"]) + "\n")
+    with pytest.raises(SchemaMismatch, match="row 5: expected 4 fields"):
+        read_scores_csv(path)
+    path.write_text(f"{lines[0]}\n{lines[1]},extra\n")
+    with pytest.raises(SchemaMismatch, match="unexpected column set"):
+        read_scores_csv(path)
 
 
 def test_manifest_short_row_is_a_data_error(tmp_path):
@@ -369,3 +392,31 @@ def test_bad_rows_are_reported_and_good_rows_kept(tmp_path, jobs):
     assert message.startswith("4 of 6 rows failed")
     for line in (2, 4, 5, 6):
         assert f"manifest line {line} " in message
+
+
+def test_a_missing_file_and_a_coincident_reference_fail_their_rows_alone(
+        tmp_path):
+    path = _interleaved_corpus(tmp_path)
+    os.remove(tmp_path / "d1_1.ply")        # manifest line 5
+    # a reference whose points all coincide has no PCQM radius or graph
+    # radius; its row is manifest line 8
+    ref = PointCloud(np.full((400, 3), 100.0),
+                     colors=surface_cloud(400, seed=2).colors, bit_depth=8)
+    save_ply(ref, tmp_path / "ref2.ply")
+    save_ply(jitter(ref, 1.0, seed=3), tmp_path / "d2_0.ply")
+    with open(path, "a") as stream:
+        stream.write("g2,ref2.ply,d2_0.ply,3.0\n")
+    rows = load_manifest(path)
+    cache = tmp_path / "cache"
+    with pytest.raises(PcqkitError) as info:
+        extract_features(rows, Config(pipeline_jobs=1,
+                                      pipeline_cache_dir=str(cache)))
+    message = str(info.value)
+    assert message.startswith("2 of 7 rows failed")
+    assert "manifest line 5 (d1_1.ply): IoFailure: cannot read" in message
+    assert "manifest line 8 (d2_0.ply): InvalidCloud: " in message
+    assert len(os.listdir(cache)) == 5
+    good = [row for row in rows if row.line not in (5, 8)]
+    table, stats = extract_features(
+        good, Config(pipeline_jobs=1, pipeline_cache_dir=str(cache)))
+    assert stats["n_cached"] == 5 and not np.isnan(table.values).any()

@@ -11,6 +11,7 @@ import pytest
 
 from pcqkit.cloud import PointCloud
 from pcqkit.config import Config
+from pcqkit.errors import ConfigMismatch
 from pcqkit.metrics.pcqm import build_correspondence
 from pcqkit.metrics.psnr import compute_d2
 from pcqkit.pipeline import METRIC_FAMILIES
@@ -18,7 +19,7 @@ from pcqkit.plan import PairPlan, ReferenceContext
 from pcqkit.spatial import build_index
 from pcqkit.surface import estimate_normals
 
-from conftest import surface_cloud
+from conftest import jitter, surface_cloud
 
 
 def _quantised(n=900, seed=31, step=12.0):
@@ -40,7 +41,7 @@ def _recoloured(cloud, seed=32, normals=None):
 def _unshared(plan):
     """The same pair with a dist context of its own."""
     return PairPlan(plan.reference,
-                    ReferenceContext.build(plan.dist, plan.config))
+                    ReferenceContext.build(plan.distorted.cloud, plan.config))
 
 
 def _metrics(plan):
@@ -59,6 +60,37 @@ def test_equal_positions_share_the_reference_geometry():
     assert distorted.knn is reference.knn
     assert PairPlan.build(ref, _quantised(step=13.0)).distorted.geometry \
         is None
+
+
+def test_only_pair_plan_build_sets_a_shared_geometry():
+    ref = _quantised()
+    context = ReferenceContext.build(ref)
+    with pytest.raises(TypeError):
+        ReferenceContext(_recoloured(ref), context.config, geometry=context)
+    assert ReferenceContext.build(ref).geometry is None
+
+
+def test_a_plan_refuses_contexts_of_two_configs():
+    # a median PointSSIM at k = 4 on the dist side alone scored geometry
+    # PointSSIM 0.784 on this pair, where the plan's own config gives 0.123
+    ref = surface_cloud(400, seed=1)
+    dist = jitter(ref, 2.0, seed=2, color_sigma=5)
+    other = Config(pointssim_k=4, pointssim_estimator="median")
+    with pytest.raises(ConfigMismatch, match="one config"):
+        PairPlan(ReferenceContext.build(ref, Config()),
+                 ReferenceContext.build(dist, other))
+    plan = PairPlan(ReferenceContext.build(ref, other),
+                    ReferenceContext.build(dist, Config(**vars(other))))
+    assert plan.config == other
+
+
+def test_a_shared_geometry_belongs_to_its_own_reference():
+    ref = _quantised()
+    plan = PairPlan.build(ref, _recoloured(ref))
+    with pytest.raises(ValueError, match="another reference"):
+        PairPlan(ReferenceContext.build(ref), plan.distorted)
+    assert PairPlan(plan.reference, plan.distorted).distorted.geometry \
+        is plan.reference
 
 
 def test_shared_nearest_matches_equal_the_queries():

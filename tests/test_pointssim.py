@@ -116,6 +116,8 @@ def test_geometry_needs_no_colors():
         assert pointssim_score(plan, "geometry") == expected
         with pytest.raises(MissingAttribute):
             pointssim_score(plan, "luminance")
+    with pytest.raises(ValueError, match="unknown attribute 'bogus'"):
+        pointssim_score(plan, "bogus")
 
 
 def test_a_plan_is_freed_without_the_cycle_collector():

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from pcqkit import regression
-from pcqkit.errors import (DegenerateInput, MissingFeatureColumn,
-                           NonConvergence, SingularSystem, TooFewGroups,
-                           UnknownModel)
+from pcqkit.errors import (DegenerateInput, InvalidCloud,
+                           MissingFeatureColumn, NonConvergence,
+                           SingularSystem, TooFewGroups, UnknownModel)
 from pcqkit.evaluation import pearson
 from pcqkit.pipeline import FEATURE_COLUMNS, FeatureTable, ManifestRow
 from pcqkit.regression import (MODEL_REGISTRY, FusionModel, MinMaxScaler,
@@ -473,6 +475,8 @@ def test_rfe_step_and_determinism():
         rfe_rank(X, y, estimator="boost")
     with pytest.raises(ValueError):
         rfe_rank(X, y, names=["too", "few"])
+    with pytest.raises(ValueError, match="step"):
+        rfe_rank(X, y, step=0)
 
 
 def _predict_oracle(model, X):
@@ -708,3 +712,25 @@ def test_fusion_model_missing_column():
                            table.values[:, 2:], table.config_hash)
     with pytest.raises(MissingFeatureColumn):
         make_model("fsm").select(trimmed)
+
+
+def test_fusion_model_refuses_what_it_cannot_fit_or_load(tmp_path):
+    with pytest.raises(UnknownModel, match="regressor kind 'boost'"):
+        FusionModel("m", ["a"], regressor="boost")
+    model = make_model("fsm")
+    with pytest.raises(MissingFeatureColumn, match="expected 6 feature"):
+        model.fit(np.zeros((5, 3)), np.zeros(5))
+    with pytest.raises(InvalidCloud, match="5 rows but y has 4"):
+        model.fit(np.zeros((5, 6)), np.zeros(4))
+    with pytest.raises(InvalidCloud, match="at least one row"):
+        MinMaxScaler().fit(np.zeros((0, 6)))
+    model.fit_table(_toy_table(np.random.default_rng(24)))
+    path = tmp_path / "model.json"
+    state = model.to_dict()
+    state["schema_version"] = 99
+    path.write_text(json.dumps(state))
+    with pytest.raises(UnknownModel, match="unsupported model schema 99"):
+        FusionModel.load(path)
+    path.write_text("[1, 2]\n")
+    with pytest.raises(UnknownModel, match="is not a model file"):
+        FusionModel.load(path)

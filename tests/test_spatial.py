@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from pcqkit import spatial
 from pcqkit.cloud import PointCloud, bounding_box
 from pcqkit.config import Config
-from pcqkit.spatial import Neighbors, build_index
+from pcqkit.errors import EmptyCloud, InvalidCloud
+from pcqkit.spatial import Neighbors, SpatialIndex, build_index
 
 from conftest import surface_cloud
 
@@ -91,6 +92,17 @@ def test_single_point_cloud():
     index = build_index(PointCloud(np.array([[1., 2., 3.]])))
     idx, dst = index.knn_batch(np.array([[1., 2., 3.]]), 4)
     assert idx.shape == (1, 1) and dst[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("positions, error", [
+    (np.zeros((4, 2)), InvalidCloud), (np.empty((0, 3)), EmptyCloud),
+    (np.zeros(3), InvalidCloud), (np.full((2, 3), np.nan), InvalidCloud)],
+    ids=["two-columns", "empty", "one-d", "nan"])
+def test_index_refuses_what_a_cloud_refuses(positions, error):
+    for make in (SpatialIndex, PointCloud):
+        with pytest.raises(InvalidCloud) as info:
+            make(positions)
+        assert type(info.value) is error
 
 
 def test_radius_rejects_nan_radius():
