@@ -39,10 +39,7 @@ class MinMaxScaler:
         return self
 
     def transform(self, X):
-        X = check_matrix_2d(X)
-        if X.shape[1] != self.min_.shape[0]:
-            raise ValueError(
-                f"expected {self.min_.shape[0]} features, got {X.shape[1]}")
+        X = _check_width(X, self.min_.shape[0])
         span = self.max_ - self.min_
         constant = span == 0.0
         scaled = (X - self.min_) / np.where(constant, 1.0, span)
@@ -51,6 +48,14 @@ class MinMaxScaler:
 
     def fit_transform(self, X):
         return self.fit(X).transform(X)
+
+
+def _check_width(X, p):
+    """X checked as a 2-d sample matrix of p feature columns."""
+    X = check_matrix_2d(X)
+    if X.shape[1] != p:
+        raise ValueError(f"expected {p} features, got {X.shape[1]}")
+    return X
 
 
 def _checked(name, value, legal, what, kind=numbers.Real):
@@ -92,7 +97,7 @@ class RidgeRegression:
         return self
 
     def predict(self, X):
-        X = check_matrix_2d(X)
+        X = _check_width(X, len(self.coef_))
         return X @ self.coef_ + self.intercept_
 
 
@@ -150,11 +155,14 @@ class RbfSvr:
         # z = (alpha, alpha*) and beta = alpha - alpha*. A step of t raises
         # beta at i % n and lowers it at j % n; i is an alpha below C or an
         # alpha* above 0, j an alpha above 0 or an alpha* below C. The step
-        # scalars are Python floats, and each mask changes only where z did
+        # scalars are Python floats. min(score, up_cap) is the score where
+        # z may rise and -inf elsewhere, max(score, low_cap) the score where
+        # z may fall and +inf elsewhere; a cap changes only where z did
         z = [0.0] * (2 * n)
         beta = [0.0] * n
-        up = np.arange(2 * n) < n    # at z = 0 only the alphas, as C > 0
-        low = ~up
+        # at z = 0 only the alphas may rise and the alpha*s fall, as C > 0
+        up_cap = np.repeat([math.inf, -math.inf], n)
+        low_cap = up_cap.copy()
         f_raw = np.zeros(n)          # K @ beta, maintained incrementally
         # minus the dual gradient along beta, per block: -(f_raw + eps - y)
         # and y - (f_raw - eps). One subtraction lhs - rhs, with lhs =
@@ -162,7 +170,8 @@ class RbfSvr:
         # block is then negated, so that an exact zero there is -0.0
         lhs = np.concatenate([y, y])
         rhs = lhs.copy()
-        score = np.empty(2 * n)
+        score, up_score, low_score = np.empty((3, 2 * n))
+        step_i, step_j = np.empty((2, n))
         f_plus, f_minus, score_alpha = lhs[:n], rhs[n:], score[:n]
         gap = math.inf
 
@@ -172,8 +181,8 @@ class RbfSvr:
             np.subtract(lhs, rhs, out=score)
             np.negative(score_alpha, out=score_alpha)
             # masked, so an index outside a side never wins
-            up_score = np.where(up, score, -np.inf)
-            low_score = np.where(low, score, np.inf)
+            np.minimum(score, up_cap, out=up_score)
+            np.maximum(score, low_cap, out=low_score)
             i, j = int(up_score.argmax()), int(low_score.argmin())
             m, big = up_score.item(i), low_score.item(j)
             gap = m - big
@@ -189,11 +198,17 @@ class RbfSvr:
             z[j] -= t if j < n else -t
             for k in (i, j):
                 below_C, above_0 = z[k] < C, z[k] > 0
-                up[k], low[k] = ((below_C, above_0) if k < n
-                                 else (above_0, below_C))
+                up, low = ((below_C, above_0) if k < n
+                           else (above_0, below_C))
+                up_cap[k] = math.inf if up else -math.inf
+                low_cap[k] = -math.inf if low else math.inf
             beta[ii] += t
             beta[jj] -= t
-            f_raw += K_cols[ii] * t - K_cols[jj] * t
+            # f_raw += K[:, ii] * t - K[:, jj] * t
+            np.multiply(K_cols[ii], t, out=step_i)
+            np.multiply(K_cols[jj], t, out=step_j)
+            np.subtract(step_i, step_j, out=step_i)
+            np.add(f_raw, step_i, out=f_raw)
         else:
             hint = ("; with C = inf the epsilon-tube is hard, and it has no "
                     "solution when the targets lie farther than epsilon "
@@ -214,12 +229,10 @@ class RbfSvr:
         return self
 
     def predict(self, X):
-        return self._decision(check_matrix_2d(X))
-
-    def _decision(self, X):
-        # X is checked and C-ordered: its layout sets the summation order
-        # of the kernel's einsum and matmul, so a prediction of another
-        # layout is other bits
+        X = _check_width(X, self.support_vectors_.shape[1])
+        # X is C-ordered: its layout sets the summation order of the
+        # kernel's einsum and matmul, so a prediction of another layout
+        # would be other bits
         if len(self.support_vectors_) == 0:
             return np.full(X.shape[0], self.intercept_)
         K = rbf_kernel(X, self.support_vectors_, self.gamma_)
@@ -261,26 +274,40 @@ def _importances(estimator, X, y, seed, round_idx):
     if isinstance(estimator, RidgeRegression):
         return np.abs(estimator.coef_)
 
+    # Shuffling column c changes only its term of each squared distance,
+    # so the kernel factors as K_other * E, K_other over the other columns
+    # and E = exp(-gamma (x_c - s_c)^2). A shuffle permutes the rows of E,
+    # and predicts the row sums of W * E[perm], W = K_other * dual_coef:
+    # one kernel pass per column, none per shuffle. The column's unshuffled
+    # prediction sums W * E, so a shuffle that moves no value drops 0.0
     n, p = X.shape
+    sv, gamma = estimator.support_vectors_, estimator.gamma_
     y_centered, y_std = y - y.mean(), y.std()
-    # one C-ordered copy of X, as predict's check makes it, whose column
-    # col is shuffled for each repeat and put back after its last one
-    rows = X.copy(order="C")
-    base = _correlations(estimator._decision(rows)[None], y_centered,
-                         y_std)[0]
-    preds = np.empty((10, n))
+    preds = np.empty((11, n))    # row 0 unshuffled, then the 10 shuffles
     scores = np.zeros(p)
     for col in range(p):
-        for rep in range(10):
+        others = [k for k in range(p) if k != col]
+        W = rbf_kernel(X[:, others], sv[:, others], gamma)
+        W *= estimator.dual_coef_
+        E = np.exp(-gamma * np.subtract.outer(X[:, col], sv[:, col]) ** 2)
+        np.einsum("rs,rs->r", W, E, out=preds[0])
+        shuffled = np.empty_like(E)
+        for rep, pred in enumerate(preds[1:]):
             rng = np.random.default_rng(
                 np.random.SeedSequence([seed, round_idx, col, rep]))
-            rows[:, col] = X[rng.permutation(n), col]
-            preds[rep] = estimator._decision(rows)
-        rows[:, col] = X[:, col]
+            # mode="clip" gathers straight into out, where the default
+            # mode would gather into a temporary first
+            np.take(E, rng.permutation(n), axis=0, out=shuffled,
+                    mode="clip")
+            np.einsum("rs,rs->r", W, shuffled, out=pred)
+        preds += estimator.intercept_
+        base, *correlations = _correlations(preds, y_centered, y_std)
         drop = 0.0
-        for correlation in _correlations(preds, y_centered, y_std):
+        for correlation in correlations:
             drop += base - correlation
         scores[col] = drop / 10.0
+        # free the column's (n, m) arrays before the next kernel pass
+        del W, E, shuffled
     return scores
 
 
@@ -293,6 +320,8 @@ def rfe_rank(X, y, estimator: str = "ridge", step: int = 1, seed: int = 0,
     column index. The ranking is the reverse elimination order.
     """
     X, y = check_paired(X, y)
+    if X.shape[1] == 0:
+        raise MissingFeatureColumn("no feature columns to rank")
     if step < 1:
         raise ValueError("step must be >= 1")
     if estimator not in _ESTIMATORS:
@@ -461,6 +490,11 @@ class FusionModel:
             setattr(model.estimator, attr,
                     np.asarray(value, dtype=np.float64)
                     if isinstance(value, list) else float(value))
+        if model.regressor == "svr":
+            # an SVR without support vectors is saved as [], of no width
+            sv = model.estimator.support_vectors_
+            model.estimator.support_vectors_ = sv.reshape(
+                len(sv), len(model.feature_names))
         return model
 
     def save(self, path):

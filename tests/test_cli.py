@@ -232,6 +232,20 @@ def _random_features(path):
     return path
 
 
+@pytest.mark.parametrize("estimator", ["ridge", "svr"])
+def test_rfe_refuses_a_table_without_feature_columns(tmp_path, estimator):
+    rng = np.random.default_rng(4)
+    rows = [ManifestRow(f"g{i % 6}", f"r{i % 6}.ply", f"d{i}.ply",
+                        float(rng.uniform(1, 5))) for i in range(18)]
+    features = tmp_path / "features.csv"
+    write_features_csv(FeatureTable(rows, [], np.empty((18, 0)), "abc"),
+                       features)
+    code, out, err = run_cli("rfe", "--features", str(features),
+                             "--estimator", estimator)
+    assert (code, out) == (2, "")
+    assert "no feature columns" in err
+
+
 def test_config_seed_is_the_default_seed(tmp_path):
     features = _random_features(tmp_path / "features.csv")
     ini = tmp_path / "seed.ini"

@@ -181,6 +181,25 @@ def test_svr_no_support_vectors_predicts_intercept():
     assert np.allclose(model.predict([[0.0], [99.0]]), model.intercept_)
 
 
+@pytest.mark.parametrize("width", [3, 5])
+def test_predict_refuses_the_wrong_number_of_columns(width):
+    rng = np.random.default_rng(6)
+    X = rng.uniform(size=(30, 4))
+    y = X @ [1.0, -2.0, 0.5, 0.0] + 0.1 * rng.normal(size=30)
+    # with no support vector too, fitted and loaded: a model file holds
+    # its support vectors as [], of no width
+    empty = FusionModel("m", list("abcd"), "svr", {"epsilon": 10.0})
+    loaded = FusionModel.from_dict(empty.fit(X, y).to_dict()).estimator
+    assert loaded.support_vectors_.shape == (0, 4)
+    for apply in (RidgeRegression().fit(X, y).predict,
+                  RbfSvr().fit(X, y).predict, empty.estimator.predict,
+                  loaded.predict, MinMaxScaler().fit(X).transform):
+        with pytest.raises(ValueError,
+                           match=rf"^expected 4 features, got {width}$"):
+            apply(rng.uniform(size=(5, width)))
+    assert np.array_equal(loaded.predict(X), empty.estimator.predict(X))
+
+
 # what RbfSvr.fit requires of each hyperparameter, as its error says it
 _SVR_RANGES = {"C": "> 0", "epsilon": "finite and >= 0",
                "tol": "finite and > 0", "max_iter": "an integer >= 1"}
@@ -407,8 +426,7 @@ def test_rbf_kernel_equals_the_allocating_expression_bit_for_bit(n, m, p):
 
 def test_svr_predict_is_the_same_bits_for_every_layout_of_x():
     # the kernel's einsum and matmul sum in an order that the layout of X
-    # sets, so predict makes X C-ordered first; the permutation
-    # importances predict from a C-ordered buffer and rely on that
+    # sets, so predict makes X C-ordered first
     rng = np.random.default_rng(21)
     X = rng.uniform(size=(53, 7))
     y = np.sin(3.0 * X[:, 0]) + X[:, -1] + 0.1 * rng.normal(size=53)
@@ -464,6 +482,12 @@ def test_rfe_with_a_constant_svr_prediction_drops_columns_in_index_order():
         assert np.array_equal(importances, np.zeros(len(importances)))
 
 
+@pytest.mark.parametrize("estimator", ["ridge", "svr"])
+def test_rfe_refuses_a_table_without_feature_columns(estimator):
+    with pytest.raises(MissingFeatureColumn, match="no feature columns"):
+        rfe_rank(np.zeros((5, 0)), np.arange(5.0), estimator=estimator)
+
+
 def test_rfe_step_and_determinism():
     rng = np.random.default_rng(13)
     X, y = _planted_problem(rng)
@@ -492,8 +516,8 @@ def _importances_oracle(estimator, X, y, seed, round_idx):
     """Permutation importance as first written: a fresh copy of X, a
     checked predict and a pearson for each of the 10 repeats.
 
-    regression._importances shuffles one buffer and scores the repeats of
-    a column together, and must reach the same bits.
+    regression._importances makes one kernel pass per column and scores
+    the repeats of a column together, and must match it within rounding.
     """
     if isinstance(estimator, RidgeRegression):
         return np.abs(estimator.coef_)
@@ -552,6 +576,11 @@ def _rfe_cases():
     X, y = _planted_problem(rng, n=30, p=4)
     cases.append(("constant-prediction", X, np.round(8.0 * y) / 8.0,
                   {"seed": 9, "estimator_params": {"epsilon": 10.0}}))
+    # two rows, and at seed 823 each of the 10 permutations of the first
+    # round's column 0 is the identity: its shuffles move no value
+    cases.append(("shuffle-moves-no-value", np.array([[0.2, 0.1],
+                                                      [0.9, 0.7]]),
+                  np.array([1.0, 3.0]), {"seed": 823}))
     return cases
 
 
@@ -560,15 +589,35 @@ _RFE_CASES = _rfe_cases()
 
 @pytest.mark.parametrize("X, y, kwargs", [c[1:] for c in _RFE_CASES],
                          ids=[c[0] for c in _RFE_CASES])
-def test_rfe_importances_equal_the_per_prediction_loop_bit_for_bit(
-        X, y, kwargs, monkeypatch):
+def test_rfe_importances_match_the_per_prediction_loop(X, y, kwargs,
+                                                       monkeypatch):
+    # the importances factor each shuffle's kernel as the kernel over the
+    # other columns times that of the shuffled column, so they differ from
+    # the oracle's by rounding; where the oracle's is exactly 0.0, so is
+    # theirs, and the order and every round's survivors are the same
     ranking = rfe_rank(X, y, estimator="svr", **kwargs)
     monkeypatch.setattr(regression, "_importances", _importances_oracle)
     expected = rfe_rank(X, y, estimator="svr", **kwargs)
     assert ranking.order == expected.order
     assert [s for s, _ in ranking.rounds] == [s for s, _ in expected.rounds]
     for (_, importances), (_, oracle) in zip(ranking.rounds, expected.rounds):
-        assert _bits(importances) == _bits(oracle)
+        assert np.all(np.abs(importances - oracle) <= 1e-12)
+        assert np.all(importances[oracle == 0.0] == 0.0)
+
+
+def test_rfe_svr_makes_one_kernel_pass_per_column(monkeypatch):
+    # per round one kernel for the fit and one per surviving column, however
+    # many shuffles a column has
+    calls = []
+
+    def counting(A, B, gamma):
+        calls.append(1)
+        return rbf_kernel(A, B, gamma)
+
+    monkeypatch.setattr(regression, "rbf_kernel", counting)
+    _, X, y, kwargs = _RFE_CASES[0]
+    ranking = rfe_rank(X, y, estimator="svr", **kwargs)
+    assert len(calls) == sum(len(s) + 1 for s, _ in ranking.rounds) == 20
 
 
 def test_rfe_cases_reach_every_branch(monkeypatch):
@@ -589,6 +638,12 @@ def test_rfe_cases_reach_every_branch(monkeypatch):
             seen.add("constant y")
         if prediction_std == 0.0 and y.std() != 0.0:
             seen.add("constant prediction")
+        for col in range(X.shape[1]):
+            if np.ptp(X[:, col]) > 0.0 and all(np.array_equal(
+                    X[np.random.default_rng(np.random.SeedSequence(
+                        [seed, round_idx, col, rep])).permutation(len(X)),
+                      col], X[:, col]) for rep in range(10)):
+                seen.add("no shuffle moves a value")
         return _importances_oracle(estimator, X, y, seed, round_idx)
 
     monkeypatch.setattr(regression, "_importances", recording)
@@ -598,11 +653,13 @@ def test_rfe_cases_reach_every_branch(monkeypatch):
         rfe_rank(X, y, estimator="svr", **kwargs)
     assert set().union(*reached.values()) == {
         "C-ordered", "not C-ordered", "n not a multiple of 4",
-        "constant column", "constant y", "constant prediction"}
+        "constant column", "constant y", "constant prediction",
+        "no shuffle moves a value"}
     assert "not C-ordered" in reached["n53-p23"]
     assert "constant column" in reached["constant-column"]
     assert "constant y" in reached["constant-y"]
     assert "constant prediction" in reached["constant-prediction"]
+    assert "no shuffle moves a value" in reached["shuffle-moves-no-value"]
     assert {1, 23} <= set(widths.values())
     assert {kwargs.get("step", 1) for _, _, _, kwargs in _RFE_CASES} == {1, 2}
 
@@ -732,5 +789,12 @@ def test_fusion_model_refuses_what_it_cannot_fit_or_load(tmp_path):
     with pytest.raises(UnknownModel, match="unsupported model schema 99"):
         FusionModel.load(path)
     path.write_text("[1, 2]\n")
+    with pytest.raises(UnknownModel, match="is not a model file"):
+        FusionModel.load(path)
+    # support vectors of another width than the model's features
+    svr = make_model("model4").fit_table(_toy_table(np.random.default_rng(25)))
+    state = svr.to_dict()
+    state["support_vectors"] = [row[:3] for row in state["support_vectors"]]
+    path.write_text(json.dumps(state))
     with pytest.raises(UnknownModel, match="is not a model file"):
         FusionModel.load(path)
