@@ -39,13 +39,21 @@ def logistic(x, beta):
     return b1 + (b2 - b1) / (1.0 + np.exp(-z))
 
 
+def pearson_rows(rows, y) -> np.ndarray:
+    """(m,) Pearson correlation of each row of the (m, n) rows with the
+    (n,) y; a row or a y of std 0 scores 0.0."""
+    std, y_std = rows.std(axis=1), y.std()
+    centered = rows - rows.mean(axis=1, keepdims=True)
+    return np.divide((centered * (y - y.mean())).mean(axis=1), std * y_std,
+                     out=np.zeros(len(rows)),
+                     where=(std != 0.0) & (y_std != 0.0))
+
+
 def pearson(x, y) -> float:
-    x, y = check_paired(np.asarray(x, dtype=np.float64).reshape(-1, 1), y)
-    x = x[:, 0]
-    sx, sy = x.std(), y.std()
-    if sx == 0.0 or sy == 0.0:
+    x, y = check_paired(x, y, ndim=1)
+    if x.std() == 0.0 or y.std() == 0.0:
         raise DegenerateInput("correlation of a constant sequence")
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    return float(pearson_rows(x[None], y)[0])
 
 
 def _rank_average(x) -> np.ndarray:
@@ -174,9 +182,7 @@ def fit_logistic(scores, mos) -> LogisticFit:
     Deterministic: the same input gives the same beta bit for bit. The
     returned beta has b3 > 0; a decreasing relation has b1 > b2.
     """
-    x, y = check_paired(np.asarray(scores, dtype=np.float64).reshape(-1, 1),
-                        mos)
-    x = x[:, 0]
+    x, y = check_paired(scores, mos, ndim=1)
     if len(x) < 5:
         raise DegenerateInput(
             f"{len(x)} points cannot constrain a 4-parameter fit")
@@ -208,13 +214,12 @@ def error_stats(predicted, mos, mos_std=None):
     deviation; without per-row deviations the threshold falls back to
     twice the RMSE and the flag is set.
     """
-    predicted, mos = check_paired(
-        np.asarray(predicted, dtype=np.float64).reshape(-1, 1), mos)
-    predicted = predicted[:, 0]
+    predicted, mos = check_paired(predicted, mos, ndim=1)
     resid = predicted - mos
     rmse = float(np.sqrt(np.mean(resid * resid)))
     if mos_std is not None:
-        threshold = 2.0 * np.asarray(mos_std, dtype=np.float64)
+        threshold = 2.0 * check_paired(
+            mos, mos_std, ndim=1, names=("mos", "mos_std"))[1]
         fallback = False
     else:
         threshold = 2.0 * rmse

@@ -52,11 +52,14 @@ def compute_d1(plan) -> PsnrResult:
     return PsnrResult(mse_f, mse_b, mse, _psnr_db(mse, peak, 3.0), peak)
 
 
-def _projected_mse(src, tgt, idx, normals):
-    """Mean squared NN error projected on normals, the target-side
-    normals at idx, from the ReferenceContexts of both sides."""
+def _projected_mse(src, tgt, idx):
+    """Mean squared NN error of the src context against its matches idx
+    in tgt, projected on their normals, read only where a point moved."""
     err = src.cloud.positions - tgt.cloud.positions[idx]
-    proj = np.einsum("ij,ij->i", err, normals)
+    moved = np.flatnonzero(err.any(axis=1))
+    proj = np.zeros(len(err))
+    proj[moved] = np.einsum("ij,ij->i", err[moved],
+                            tgt.normals_at(idx[moved]))
     return float(np.mean(proj * proj))
 
 
@@ -65,15 +68,13 @@ def compute_d2(plan) -> PsnrResult:
 
     Each NN error vector is projected onto the normal of the matched
     point, so tangential displacement along a surface is not penalized.
-    Normals are estimated (quadric fit, radius psnr_normal_radius) on any
-    side that lacks them: the whole reference, shared by its distortions,
-    and the dist points that a ref point is matched to.
+    Normals are the cloud's own, else estimated (quadric fit, radius
+    psnr_normal_radius) only at the matches of moved points.
     """
     ref, dist = plan.reference, plan.distorted
     peak = float(2 ** ref.bit_depth - 1)
-    fwd, bwd = plan.nearest_forward[0], plan.nearest_backward[0]
-    mse_f = _projected_mse(dist, ref, fwd, ref.normals[fwd])
-    mse_b = _projected_mse(ref, dist, bwd, dist.normals_at(bwd))
+    mse_f = _projected_mse(dist, ref, plan.nearest_forward[0])
+    mse_b = _projected_mse(ref, dist, plan.nearest_backward[0])
     mse = max(mse_f, mse_b)
     return PsnrResult(mse_f, mse_b, mse, _psnr_db(mse, peak, 3.0), peak)
 

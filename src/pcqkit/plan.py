@@ -5,12 +5,13 @@ kd-tree, self queries, normals, colours and PointSSIM fields. A PairPlan
 holds one context per cloud and adds the queries that cross them. A
 reference's context is the one its distortions share. Each field is a
 cached property, so a query runs at most once per pair, and only when a
-metric reads it. The metric entry points (compute_d1, compute_d2,
-compute_yuv, pointssim_score, compute_pcqm_features, msgraphsim_score)
-each take a PairPlan and read their settings from plan.config, so a
-standalone call and the pipeline run the same code. A plan is built
-from the reference cloud, or from a context that already holds it and
-its config:
+metric reads it; normals are estimated at the rows D2 reads, each once.
+A colour-only dist shares its reference's self k-NN. The metric entry
+points (compute_d1, compute_d2, compute_yuv, pointssim_score,
+compute_pcqm_features, msgraphsim_score) each take a PairPlan and read
+their settings from plan.config, so a standalone call and the pipeline
+run the same code. A plan is built from the reference cloud, or from a
+context that already holds it and its config:
 
     plan = PairPlan.build(ref, dist)
     compute_d1(plan).psnr_db
@@ -51,10 +52,9 @@ class ReferenceContext:
     every self-neighbor lookup: rows of knn_batch are sorted by
     (distance, index), so its first j columns equal a j-query.
 
-    geometry is a context of the same positions, whose kd-tree, self
-    k-NN, estimated normals and geometry PointSSIM field this one
-    reuses. Only PairPlan.build sets it, for a dist at its reference's
-    exact positions.
+    geometry is a context of the same positions: this one reuses its
+    self k-NN, and a PairPlan its queries. Only PairPlan.build sets it,
+    for a dist at its reference's exact positions.
     """
 
     cloud: PointCloud
@@ -75,8 +75,7 @@ class ReferenceContext:
 
     @cached_property
     def index(self):
-        return self.geometry.index if self.geometry else build_index(
-            self.cloud)
+        return build_index(self.cloud)
 
     @cached_property
     def knn(self):
@@ -88,26 +87,27 @@ class ReferenceContext:
             self.cloud.positions, max(c.pointssim_k, c.graphsim_k + 1, 2))
 
     @cached_property
-    def normals(self) -> np.ndarray:
-        """(n, 3) unit normals of the cloud, given or estimated, for D2."""
-        return self.normals_at(np.arange(len(self.cloud)))
+    def _estimated_normals(self) -> np.ndarray:
+        """(n, 3) normals, NaN at the rows not estimated yet."""
+        return np.full((len(self.cloud), 3), np.nan)
 
     def normals_at(self, rows) -> np.ndarray:
-        """normals[rows], estimated at the distinct rows alone unless the
-        cloud has its own or shares a geometry that has none."""
+        """(len(rows), 3) unit normals at rows, for D2: the cloud's own,
+        else estimated once per row, each call fitting only the rows no
+        earlier call has, over one psnr_normal_radius query of them."""
         cloud = self.cloud
         if cloud.has_normals:
             return cloud.normals[rows]
-        if self.geometry and not self.geometry.cloud.has_normals:
-            return self.geometry.normals[rows]
-        if len(cloud) < 3:
-            raise MissingNormalsUnrecoverable(
-                f"cloud of {len(cloud)} points has no normals and is too "
-                "small to estimate them")
-        distinct, inverse = np.unique(rows, return_inverse=True)
-        return estimate_normals(cloud, self.index.radius_batch(
-            cloud.positions[distinct], self.config.psnr_normal_radius),
-            distinct)[inverse]
+        normals = self._estimated_normals
+        todo = np.unique(rows[np.isnan(normals[rows, 0])])
+        if len(todo):
+            if len(cloud) < 3:
+                raise MissingNormalsUnrecoverable(
+                    f"cloud of {len(cloud)} points has no normals and is "
+                    "too small to estimate them")
+            normals[todo] = estimate_normals(cloud, self.index.radius_batch(
+                cloud.positions[todo], self.config.psnr_normal_radius), todo)
+        return normals[rows]
 
     @cached_property
     def ycc(self) -> np.ndarray:
@@ -118,8 +118,6 @@ class ReferenceContext:
     @cached_property
     def geometry_dispersion(self) -> np.ndarray:
         """(n,) PointSSIM field of neighbour distances; needs no colours."""
-        if self.geometry:
-            return self.geometry.geometry_dispersion
         return extract_dispersion(self.cloud, self.knn, "geometry",
                                   self.config)
 
@@ -189,7 +187,7 @@ class PairPlan:
         the reference-side work across the distortions of one reference
         and whose own config is then the only one: passing config as
         well raises TypeError. A dist at the reference's exact positions
-        (a colour-only distortion) shares the reference's geometry.
+        (a colour-only distortion) shares the reference's self k-NN.
         """
         if not isinstance(ref, ReferenceContext):
             ref = ReferenceContext.build(ref, config)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (MissingFeatureColumn, NonConvergence, SingularSystem,
                      TooFewGroups, UnknownModel)
+from .evaluation import pearson_rows
 from .validation import check_matrix_2d, check_paired
 
 __all__ = ["MinMaxScaler", "RidgeRegression", "RbfSvr", "rbf_kernel",
@@ -259,17 +260,6 @@ class FeatureRanking:
     rounds: list   # (surviving column tuple, importance array) per round
 
 
-def _correlations(preds, y_centered, y_std):
-    """evaluation.pearson(row, y) of each row of preds, by its operations;
-    a row or a y of std 0 scores 0.0, where pearson raises
-    DegenerateInput."""
-    std = preds.std(axis=1)
-    centered = preds - preds.mean(axis=1, keepdims=True)
-    return np.divide((centered * y_centered).mean(axis=1), std * y_std,
-                     out=np.zeros(len(preds)),
-                     where=(std != 0.0) & (y_std != 0.0))
-
-
 def _importances(estimator, X, y, seed, round_idx):
     if isinstance(estimator, RidgeRegression):
         return np.abs(estimator.coef_)
@@ -282,7 +272,6 @@ def _importances(estimator, X, y, seed, round_idx):
     # prediction sums W * E, so a shuffle that moves no value drops 0.0
     n, p = X.shape
     sv, gamma = estimator.support_vectors_, estimator.gamma_
-    y_centered, y_std = y - y.mean(), y.std()
     preds = np.empty((11, n))    # row 0 unshuffled, then the 10 shuffles
     scores = np.zeros(p)
     for col in range(p):
@@ -301,7 +290,7 @@ def _importances(estimator, X, y, seed, round_idx):
                     mode="clip")
             np.einsum("rs,rs->r", W, shuffled, out=pred)
         preds += estimator.intercept_
-        base, *correlations = _correlations(preds, y_centered, y_std)
+        base, *correlations = pearson_rows(preds, y)
         drop = 0.0
         for correlation in correlations:
             drop += base - correlation

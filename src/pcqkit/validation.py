@@ -60,11 +60,14 @@ def check_matrix_2d(X, name="X"):
     return arr
 
 
-def check_paired(X, y):
-    """Validate a sample matrix and matching target vector."""
-    X = check_matrix_2d(X)
-    y = as_float_array(y, "y", ndim=1)
+def check_paired(X, y, ndim=2, names=("X", "y")):
+    """Validate a sample matrix (ndim 2) or vector (ndim 1) of n >= 1
+    rows and a matching 1-d target vector."""
+    X = as_float_array(X, names[0], ndim=ndim)
+    if X.shape[0] < 1:
+        raise InvalidCloud(f"{names[0]}: needs at least one row")
+    y = as_float_array(y, names[1], ndim=1)
     if y.shape[0] != X.shape[0]:
-        raise InvalidCloud(
-            f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+        raise InvalidCloud(f"{names[0]} has {X.shape[0]} rows but "
+                           f"{names[1]} has {y.shape[0]} entries")
     return X, y

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
-from pcqkit.errors import DegenerateInput
+from pcqkit.errors import DegenerateInput, InvalidCloud
 from pcqkit.evaluation import (_rank_average, error_stats, evaluate,
-                               fit_logistic, logistic, pearson, spearman)
+                               fit_logistic, logistic, pearson, pearson_rows,
+                               spearman)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +41,29 @@ def test_correlation_degenerate_input():
         spearman([1, 2, 3], [4.0, 4.0, 4.0])
 
 
+def test_pearson_refuses_what_is_not_one_vector_per_side():
+    # a (5, 2) x was flattened to the 10 values of y and read 1.0
+    with pytest.raises(InvalidCloud, match="X: expected 1-d"):
+        pearson(np.arange(10.0).reshape(5, 2), np.arange(10.0))
+    with pytest.raises(InvalidCloud, match="X has 3 rows but y has 2"):
+        pearson([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+def test_spearman_refuses_what_is_not_one_vector_per_side():
+    with pytest.raises(InvalidCloud, match="X: expected 1-d"):
+        spearman(np.arange(10.0).reshape(5, 2), np.arange(10.0))
+    with pytest.raises(InvalidCloud, match="y: expected 1-d"):
+        spearman(np.arange(10.0), np.arange(10.0).reshape(5, 2))
+
+
+def test_pearson_rows_equal_pearson_bit_for_bit():
+    rng = np.random.default_rng(6)
+    rows, y = rng.normal(3.0, 2.0, size=(40, 25)), rng.normal(size=25)
+    rows[7] = 1.5     # std 0 scores 0.0, where pearson raises
+    want = [0.0 if i == 7 else pearson(row, y) for i, row in enumerate(rows)]
+    assert pearson_rows(rows, y).tobytes() == np.array(want).tobytes()
+
+
 def test_spearman_invariant_under_monotone_transform():
     rng = np.random.default_rng(1)
     x = rng.normal(size=50)
@@ -51,6 +75,11 @@ def test_spearman_invariant_under_monotone_transform():
 
 # ---------------------------------------------------------------------------
 # logistic fitting
+
+def test_logistic_fit_refuses_a_score_matrix():
+    with pytest.raises(InvalidCloud, match="X: expected 1-d"):
+        fit_logistic(np.arange(20.0).reshape(10, 2), np.arange(20.0))
+
 
 def test_logistic_self_recovery():
     beta = np.array([0.1, 0.9, 1.7, 0.4])
@@ -156,6 +185,17 @@ def test_error_stats_hand_values():
     assert rmse == pytest.approx(np.sqrt(1.0 / 3.0), abs=1e-12)
     assert ratio == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert fallback is False
+
+
+def test_error_stats_refuses_unpaired_inputs():
+    # a one-entry mos_std was broadcast over every row; three entries
+    # against five rows failed inside numpy
+    pred, mos = np.arange(5.0), np.arange(5.0) + 0.5
+    for std in ([0.3], [0.3, 0.3, 0.3]):
+        with pytest.raises(InvalidCloud, match="mos_std has"):
+            error_stats(pred, mos, mos_std=std)
+    with pytest.raises(InvalidCloud, match="X: expected 1-d"):
+        error_stats(np.arange(10.0).reshape(5, 2), np.arange(10.0))
 
 
 def test_error_stats_fallback_threshold():

@@ -308,7 +308,9 @@ def test_reference_context_carries_its_own_config():
         assert repr(shared[name]) == repr(fresh[name]), name
 
 
-def test_each_query_runs_once_per_pair(monkeypatch):
+@pytest.fixture
+def queries(monkeypatch):
+    """count(fn): the (kd-tree, knn_batch, radius_batch) calls fn makes."""
     calls = {}
 
     def counted(name):
@@ -327,27 +329,47 @@ def test_each_query_runs_once_per_pair(monkeypatch):
         fn()
         return (calls.get("__init__", 0), calls.get("knn_batch", 0),
                 calls.get("radius_batch", 0))
+    return count
 
+
+def test_each_query_runs_once_per_pair(queries):
     ref = surface_cloud(400, seed=9)
     dist = jitter(ref, 1.0, seed=10, color_sigma=4.0)   # without normals
     reference = ReferenceContext.build(ref)
-    # the reference side: its kd-tree, one self k-NN and three radius
-    # queries (normals, PCQM h, GraphSIM keypoints), each made once
-    fields = ("index", "knn", "normals", "ycc", "geometry_dispersion",
+    fields = ("index", "knn", "ycc", "geometry_dispersion",
               "luminance_dispersion", "pcqm_neighbors", "corr", "graphsim")
-    assert count(lambda: [getattr(reference, f) for f in fields]) == (1, 1, 3)
-    assert count(lambda: [getattr(reference, f) for f in fields]) == (0, 0, 0)
+
+    def warm():
+        reference.normals_at(np.arange(len(ref)))
+        return [getattr(reference, f) for f in fields]
+    # the reference side: its kd-tree, one self k-NN and three radius
+    # queries (normals at every row, PCQM h, GraphSIM keypoints), each
+    # made once
+    assert queries(warm) == (1, 1, 3)
+    assert queries(warm) == (0, 0, 0)
     # the dist side: its kd-tree, two nearest queries, one self k-NN and
     # three radius queries (normals, PCQM h, GraphSIM keypoints)
-    assert count(lambda: compute_pair_metrics(reference, dist)) == (1, 3, 3)
-    assert count(lambda: compute_pair_metrics(ref, dist)) == (2, 4, 6)
-    assert count(lambda: compute_d1(PairPlan.build(ref, dist))) == (2, 2, 0)
-    # a colour-only dist shares the reference's kd-tree, self k-NN,
-    # nearest matches, normals, PCQM surface and GraphSIM keypoint
-    # neighbourhoods: it makes no query of its own
+    assert queries(lambda: compute_pair_metrics(reference, dist)) \
+        == (1, 3, 3)
+    assert queries(lambda: compute_pair_metrics(ref, dist)) == (2, 4, 6)
+    assert queries(lambda: compute_d1(PairPlan.build(ref, dist))) \
+        == (2, 2, 0)
+    # a colour-only dist shares the reference's self k-NN and takes its
+    # nearest matches, PCQM surface and GraphSIM keypoint neighbourhoods
+    # from the reference's queries; it moves no point, so D2 fits no
+    # normal: it makes no query of its own
     recoloured = jitter(ref, 0.0, seed=11, color_sigma=4.0)
-    assert count(lambda: compute_pair_metrics(reference, recoloured)) \
+    assert queries(lambda: compute_pair_metrics(reference, recoloured)) \
         == (0, 0, 0)
+
+
+def test_a_colour_only_pair_makes_no_normal_query(queries):
+    # one kd-tree, one self k-NN and two radius queries (PCQM h, GraphSIM
+    # keypoints), all on the reference; D2 reads no normal
+    ref = surface_cloud(400, seed=9)
+    recoloured = jitter(ref, 0.0, seed=11, color_sigma=4.0)
+    assert queries(lambda: compute_pair_metrics(ref, recoloured)) \
+        == (1, 1, 2)
 
 
 def test_runs_group_by_reference_and_fill_every_worker():

@@ -1,20 +1,25 @@
 """A PairPlan's shortcuts against the long way round, bit for bit.
 
-A colour-only distortion shares the reference's geometry: its kd-tree,
-self k-NN, nearest matches, PCQM surface, D2 normals, geometry
-PointSSIM field and GraphSIM keypoint neighbourhoods are the
-reference's. D2 fits the dist normals only where a ref point is matched.
+A colour-only distortion shares the reference's self k-NN, and its plan
+takes the nearest matches, PCQM surface and GraphSIM keypoint
+neighbourhoods from the reference's own queries; its geometry PointSSIM
+field, computed from that k-NN, equals the reference's. Either side of
+D2 fits a normal only at the match of a point that moved, each row once
+per context, so a colour-only or reordered dist fits none.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from pcqkit import plan as plan_module
 from pcqkit.cloud import PointCloud
 from pcqkit.config import Config
 from pcqkit.errors import ConfigMismatch
 from pcqkit.metrics.pcqm import build_correspondence
 from pcqkit.metrics.psnr import compute_d2
-from pcqkit.pipeline import METRIC_FAMILIES
+from pcqkit.pipeline import METRIC_FAMILIES, compute_pair_metrics
 from pcqkit.plan import PairPlan, ReferenceContext
 from pcqkit.spatial import build_index
 from pcqkit.surface import estimate_normals
@@ -44,6 +49,18 @@ def _unshared(plan):
                     ReferenceContext.build(plan.distorted.cloud, plan.config))
 
 
+@pytest.fixture
+def fitted(monkeypatch):
+    """(cloud, rows) of every normal estimate a context makes."""
+    calls = []
+
+    def recorded(cloud, neighbors, rows):
+        calls.append((cloud, rows.tolist()))
+        return estimate_normals(cloud, neighbors, rows)
+    monkeypatch.setattr(plan_module, "estimate_normals", recorded)
+    return calls
+
+
 def _metrics(plan):
     out = {}
     for family in METRIC_FAMILIES.values():
@@ -56,7 +73,6 @@ def test_equal_positions_share_the_reference_geometry():
     plan = PairPlan.build(ref, _recoloured(ref))
     reference, distorted = plan.reference, plan.distorted
     assert distorted.geometry is reference
-    assert distorted.index is reference.index
     assert distorted.knn is reference.knn
     assert PairPlan.build(ref, _quantised(step=13.0)).distorted.geometry \
         is None
@@ -146,10 +162,10 @@ def test_shared_graphsim_neighbours_and_dispersion_equal_their_own():
     for name in ("indices", "distances", "offsets"):
         g, w = getattr(got, name), getattr(want, name)
         assert g.dtype == w.dtype and np.array_equal(g, w), name
-    assert plan.distorted.geometry_dispersion is \
-        plan.reference.geometry_dispersion
     assert np.array_equal(plan.distorted.geometry_dispersion,
                           own.distorted.geometry_dispersion)
+    assert np.array_equal(plan.distorted.geometry_dispersion,
+                          plan.reference.geometry_dispersion)
 
 
 def test_every_metric_equals_the_unshared_plan():
@@ -174,7 +190,7 @@ def test_own_normals_are_kept_under_shared_geometry(side):
     assert np.array_equal(plan.distorted.normals_at(rows), want)
     if side == "ref":
         # the reference's given normals are not the dist's estimate
-        assert not np.array_equal(want, plan.reference.normals[rows])
+        assert not np.array_equal(want, plan.reference.normals_at(rows))
     else:
         assert np.array_equal(want, dist.normals[rows])
     assert repr(compute_d2(plan)) == repr(compute_d2(_unshared(plan)))
@@ -191,3 +207,54 @@ def test_d2_reads_dist_normals_fitted_at_the_matched_rows_alone():
     err = ref.positions - dist.positions[rows]
     proj = np.einsum("ij,ij->i", err, normals[rows])
     assert compute_d2(plan).mse_backward == float(np.mean(proj * proj))
+
+
+def test_a_reordered_reference_fits_no_normal(fitted):
+    ref = surface_cloud(500, seed=35)
+    assert len(np.unique(ref.positions, axis=0)) == len(ref)
+    order = np.random.default_rng(36).permutation(len(ref))
+    dist = PointCloud(ref.positions[order], colors=ref.colors[order],
+                      bit_depth=ref.bit_depth)
+    assert PairPlan.build(ref, dist).distorted.geometry is None
+    assert compute_pair_metrics(ref, dist)["psnr_d2"] == math.inf
+    assert fitted == []
+
+
+def test_a_downsampled_dist_fits_normals_where_a_dropped_point_matched(
+        fitted):
+    ref = surface_cloud(700, seed=37)
+    kept = np.sort(np.random.default_rng(38).choice(700, 420, replace=False))
+    dist = PointCloud(ref.positions[kept], colors=ref.colors[kept],
+                      bit_depth=ref.bit_depth)
+    plan = PairPlan.build(ref, dist, Config(psnr_normal_radius=30.0))
+    got = compute_d2(plan)
+    # the forward pass matches every dist point to itself and fits nothing
+    rows = plan.nearest_backward[0]
+    dropped = np.setdiff1d(np.arange(len(ref)), kept)
+    [(cloud, fitted_rows)] = fitted
+    assert cloud is dist
+    assert fitted_rows == np.unique(rows[dropped]).tolist()
+    assert 0 < len(fitted_rows) < len(dist)
+    normals = estimate_normals(dist, build_index(dist).radius_batch(
+        dist.positions, 30.0))
+    proj = np.einsum("ij,ij->i", ref.positions - dist.positions[rows],
+                     normals[rows])
+    assert got.mse_forward == 0.0
+    assert got.mse_backward == float(np.mean(proj * proj))
+
+
+def test_normals_asked_in_two_calls_equal_one_call_over_their_union(fitted):
+    cloud = _quantised()
+    rng = np.random.default_rng(39)
+    first, second = (rng.integers(0, len(cloud), 300) for _ in range(2))
+    context = ReferenceContext.build(cloud)
+    got = np.concatenate([context.normals_at(first),
+                          context.normals_at(second)])
+    want = ReferenceContext.build(cloud).normals_at(
+        np.concatenate([first, second]))
+    assert got.tobytes() == want.tobytes()
+    new = np.setdiff1d(second, first)
+    assert 0 < len(new) < len(np.unique(second))
+    assert [rows for _, rows in fitted] == [
+        np.unique(first).tolist(), new.tolist(),
+        np.union1d(first, second).tolist()]

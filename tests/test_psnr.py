@@ -104,6 +104,16 @@ def test_d2_two_points_without_normals_is_unrecoverable():
         compute_d2(ref, dist)
 
 
+def test_d2_of_two_points_that_did_not_move_needs_no_normals():
+    # a moved 2-point pair raises (above); an unmoved one reads no normal
+    ref = PointCloud(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
+                     colors=np.array([[0.0, 0.0, 0.0], [255.0, 9.0, 3.0]]))
+    for dist in (PointCloud(ref.positions.copy(), colors=ref.colors[::-1]),
+                 PointCloud(ref.positions[::-1], colors=ref.colors)):
+        res = compute_d2(ref, dist)
+        assert res.mse_symmetric == 0.0 and res.psnr_db == math.inf
+
+
 def test_yuv_symmetric_mode_psnr_keeps_better_channel_mse():
     ref = surface_cloud(400, seed=5)
     dist = jitter(ref, 1.0, seed=6, color_sigma=8.0)
